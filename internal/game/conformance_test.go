@@ -156,12 +156,16 @@ func conformanceModels(n int, rng *rand.Rand) []game.Model {
 	}
 }
 
+// conformanceGraphs is the input table. dense16 (a tree plus 72 chords,
+// about half of all pairs adjacent) puts vertices under several covering
+// neighbors, triangles inside N(v), and many adds onto existing neighbors.
 func conformanceGraphs(rng *rand.Rand) map[string]*graph.Graph {
 	return map[string]*graph.Graph{
 		"path12":  constructions.Path(12),
 		"star12":  constructions.Star(12),
 		"torus18": constructions.NewTorus(3).Graph(),
 		"tree20":  randomConnected(rng, 20, 6),
+		"dense16": randomConnected(rng, 16, 72),
 	}
 }
 

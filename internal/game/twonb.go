@@ -33,9 +33,10 @@ import (
 // two patched lists are v's own (replaced by N'(v)) and those of drop and
 // add — drop is not in N'(v), and add's list only gains v, which is
 // excluded anyway. The fast instance therefore prices every candidate from
-// the live CSR adjacency alone, maintaining a multiplicity counter over
-// the covered vertices so toggling one endpoint in or out of the union
-// costs O(deg) instead of recounting from scratch.
+// the live CSR adjacency alone. It counts how many of v's neighbors cover
+// each vertex and which neighbor owns each singly covered one; dropping a
+// neighbor then loses exactly its owned vertices, and one O(deg(add)) walk
+// per endpoint prices every drop paired with it in O(1).
 type TwoNeighborhood struct{}
 
 // Name returns "2nb".
@@ -74,15 +75,19 @@ func twoNBRowCost(row []int32) int64 {
 // twoNBSession prices 2-neighborhood swaps from the live CSR adjacency
 // with a multiplicity counter: cnt[u] is how many members of the currently
 // loaded cover set contribute u, covered counts the distinct u ≠ v with
-// cnt[u] > 0. Scans are adjacency-cheap (no BFS), so they run sequentially
-// per agent at every worker count; the enumeration is the basic game's
-// add-major order with enumeration-first tie-breaks.
+// cnt[u] > 0. Scans additionally fill owner, uniq and rec (see scanMoves).
+// Scans are adjacency-cheap (no BFS), so they run sequentially per agent
+// at every worker count; the enumeration is the basic game's add-major
+// order with enumeration-first tie-breaks.
 type twoNBSession struct {
 	g       *graph.Graph
 	ps      *pricing.Session
 	workers int
 	cnt     []int32
 	covered int
+	owner   []int32 // owner[u]: drop slot covering u, valid where cnt[u] == 1
+	uniq    []int32 // uniq[i]: vertices covered by drop slot i alone
+	rec     []int32 // rec[i]: vertices the current add recovers from slot i
 }
 
 func (s *twoNBSession) Graph() *graph.Graph { return s.g }
@@ -93,7 +98,11 @@ func (s *twoNBSession) SetScanCancel(cancel func() bool) { s.ps.SetCancel(cancel
 
 func (s *twoNBSession) ensureScratch() {
 	if s.cnt == nil {
-		s.cnt = make([]int32, s.ps.N())
+		n := s.ps.N()
+		s.cnt = make([]int32, n)
+		s.owner = make([]int32, n)
+		s.uniq = make([]int32, n)
+		s.rec = make([]int32, n)
 	}
 }
 
@@ -154,6 +163,45 @@ func (s *twoNBSession) unloadBase(v int, nbs []int32, view *graph.Dyn) {
 	}
 }
 
+// loadOwners runs after loadBase: it sets uniq[i] to the number of
+// vertices only drop slot i covers and records i as their owner.
+func (s *twoNBSession) loadOwners(v int, nbs []int32, view *graph.Dyn) {
+	for i, w := range nbs {
+		var uniq int32
+		if s.cnt[w] == 1 {
+			s.owner[w] = int32(i)
+			uniq++
+		}
+		for _, u := range view.Neighbors(int(w)) {
+			if int(u) != v && s.cnt[u] == 1 {
+				s.owner[u] = int32(i)
+				uniq++
+			}
+		}
+		s.uniq[i] = uniq
+	}
+}
+
+// walkAdd walks a non-neighbor endpoint's contribution against the loaded
+// base: it returns the vertices no neighbor of v covers yet and bumps
+// rec[owner[u]] for every singly covered u, reporting whether any was.
+func (s *twoNBSession) walkAdd(add int, view *graph.Dyn) (gain int, bumped bool) {
+	visit := func(u int32) {
+		switch s.cnt[u] {
+		case 0:
+			gain++
+		case 1:
+			s.rec[s.owner[u]]++
+			bumped = true
+		}
+	}
+	visit(int32(add))
+	for _, u := range view.Neighbors(add) {
+		visit(u)
+	}
+	return gain, bumped
+}
+
 func (s *twoNBSession) Cost(v int, _ Objective) int64 {
 	view := s.ps.View()
 	nbs := s.loadBase(v, view)
@@ -178,20 +226,23 @@ func (s *twoNBSession) FirstImproving(v int, obj Objective) (Move, int64, int64,
 	return s.scanMoves(v, true)
 }
 
-// scanMoves walks the add-major enumeration on the unified scan engine,
-// toggling one contribution in and one out per candidate:
-// O(deg(add) + vol(N(v))) per endpoint instead of a BFS. Degenerate
-// add == drop candidates are no-ops and skipped; adds onto existing
-// neighbors price as pure deletions (which never grow a 2-neighborhood,
-// but are enumerated for parity with the oracle). The engine runs at one
-// worker: the multiplicity counter is a single mutable structure, the
-// per-candidate work is adjacency-cheap, and per-chunk counter reloads
-// would cost more than they parallelize — the enumeration order, admission
+// scanMoves walks the add-major enumeration on the unified scan engine.
+// Dropping slot i loses exactly the uniq[i] vertices it alone covers;
+// adding a non-neighbor gains the vertices nobody covers plus the rec[i]
+// vertices it shares with slot i alone, so after one O(deg(add)) walk per
+// endpoint every drop prices in O(1). One scan costs
+// O(vol(N(v)) + m + n·deg(v)), where vol(N(v)) is the total degree of v's
+// neighbors. Degenerate add == drop candidates are no-ops and skipped;
+// adds onto existing neighbors price as pure deletions (which never grow a
+// 2-neighborhood, but are enumerated for parity with the oracle). The
+// engine runs at one worker: the counters are single mutable structures
+// and the per-candidate work is O(1) — the enumeration order, admission
 // threshold, and tie-break still come from the one shared protocol.
 func (s *twoNBSession) scanMoves(v int, firstOnly bool) (Move, int64, int64, bool) {
 	view := s.ps.View()
 	n := view.N()
 	nbs := s.loadBase(v, view)
+	s.loadOwners(v, nbs, view)
 	cur := int64(n - 1 - s.covered)
 	spec := scan.Spec{
 		Workers:   1,
@@ -203,26 +254,24 @@ func (s *twoNBSession) scanMoves(v int, firstOnly bool) (Move, int64, int64, boo
 	}
 	state := func() (struct{}, func()) { return struct{}{}, func() {} }
 	pricer := func(_ struct{}, add int, threshold func() int64, yield func(int, int64) bool) {
-		fresh := !view.HasEdge(v, add)
-		if fresh {
-			s.addContrib(v, add, view)
+		gain, bumped := 0, false
+		if !view.HasEdge(v, add) {
+			gain, bumped = s.walkAdd(add, view)
 		}
+		base := cur - int64(gain)
 		for i := range nbs {
-			drop := int(nbs[i])
-			if drop == add {
+			if int(nbs[i]) == add {
 				continue
 			}
-			s.delContrib(v, drop, view)
-			c := int64(n - 1 - s.covered)
-			s.addContrib(v, drop, view)
+			c := base + int64(s.uniq[i]-s.rec[i])
 			if c < threshold() {
 				if !yield(i, c) {
 					break
 				}
 			}
 		}
-		if fresh {
-			s.delContrib(v, add, view)
+		if bumped {
+			clear(s.rec[:len(nbs)])
 		}
 	}
 	var cand scan.Cand

@@ -120,24 +120,10 @@ func ToGraph6(g *graph.Graph) (string, error) {
 // FromGraph6 decodes a graph6 string produced by ToGraph6 (or any standard
 // graph6 tool) into a graph.
 func FromGraph6(s string) (*graph.Graph, error) {
-	if s == "" {
-		return nil, fmt.Errorf("graphio: empty graph6 string")
-	}
 	data := []byte(strings.TrimSpace(s))
-	pos := 0
-	var n int
-	if data[pos] == 126 {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("graphio: truncated graph6 header")
-		}
-		n = int(data[1]-63)<<12 | int(data[2]-63)<<6 | int(data[3]-63)
-		pos = 4
-	} else {
-		n = int(data[0] - 63)
-		pos = 1
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("graphio: invalid graph6 size")
+	n, pos, err := decodeSize(data, "graph6")
+	if err != nil {
+		return nil, err
 	}
 	nbits := n * (n - 1) / 2
 	need := (nbits + 5) / 6
@@ -160,6 +146,36 @@ func FromGraph6(s string) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// decodeSize reads the vertex-count header shared by graph6 and sparse6
+// (after sparse6's ':'): one byte for n <= 62, or 126 followed by three
+// bytes for n <= 258047. It returns n and the length of the header. Every
+// header byte must lie in 63..126; the 36-bit form for larger n (126 126
+// followed by six bytes), which ToGraph6 and ToSparse6 never write, is
+// rejected.
+func decodeSize(data []byte, format string) (n, pos int, err error) {
+	if len(data) == 0 {
+		return 0, 0, fmt.Errorf("graphio: empty %s string", format)
+	}
+	if data[0] != 126 {
+		if data[0] < 63 || data[0] > 126 {
+			return 0, 0, fmt.Errorf("graphio: invalid %s header byte %q", format, data[0])
+		}
+		return int(data[0] - 63), 1, nil
+	}
+	if len(data) < 4 {
+		return 0, 0, fmt.Errorf("graphio: truncated %s header", format)
+	}
+	if data[1] == 126 {
+		return 0, 0, fmt.Errorf("graphio: %s size above 258047 is not supported", format)
+	}
+	for _, c := range data[1:4] {
+		if c < 63 || c > 126 {
+			return 0, 0, fmt.Errorf("graphio: invalid %s header byte %q", format, c)
+		}
+	}
+	return int(data[1]-63)<<12 | int(data[2]-63)<<6 | int(data[3]-63), 4, nil
 }
 
 // WriteInterests writes per-vertex interest sets (the communication-

@@ -148,6 +148,35 @@ func TestFromGraph6Errors(t *testing.T) {
 	}
 }
 
+// TestHostileSizeHeaders feeds size headers the encoders never write:
+// each must be rejected with an error, not a panic or a huge graph.
+func TestHostileSizeHeaders(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		in   string
+	}{
+		{"graph6 blank", " "},
+		{"graph6 byte below 63", ">"},
+		{"graph6 byte above 126", "\x7f"},
+		{"graph6 long form truncated", "~??"},
+		{"graph6 long form byte below 63", "~?\x01?"},
+		{"graph6 36-bit form", "~~~~~~~~"},
+		{"sparse6 byte below 63", ":>"},
+		{"sparse6 blank after colon", ": A"},
+		{"sparse6 long form byte below 63", ":~\x01??"},
+		{"sparse6 36-bit form", ":~~~~"},
+		{"sparse6 36-bit form full", ":~~??????"},
+	} {
+		decode := FromGraph6
+		if strings.HasPrefix(c.in, ":") {
+			decode = FromSparse6
+		}
+		if g, err := decode(c.in); err == nil {
+			t.Errorf("%s: %q decoded to n=%d, want an error", c.name, c.in, g.N())
+		}
+	}
+}
+
 func TestToDOT(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1)

@@ -92,20 +92,9 @@ func FromSparse6(s string) (*graph.Graph, error) {
 		return nil, fmt.Errorf("graphio: sparse6 must start with ':'")
 	}
 	data := []byte(s[1:])
-	pos := 0
-	var n int
-	if data[pos] == 126 {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("graphio: truncated sparse6 header")
-		}
-		n = int(data[1]-63)<<12 | int(data[2]-63)<<6 | int(data[3]-63)
-		pos = 4
-	} else {
-		n = int(data[0] - 63)
-		pos = 1
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("graphio: invalid sparse6 size")
+	n, pos, err := decodeSize(data, "sparse6")
+	if err != nil {
+		return nil, err
 	}
 	k := bitsFor(n)
 	// Unpack the bitstream.

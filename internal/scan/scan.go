@@ -12,7 +12,7 @@
 //
 //   - a price callback (Pricer) that owns whatever per-endpoint work the
 //     model needs (a BFS row, a thresholded interest-set reduction, a
-//     2-neighborhood counter toggle), and
+//     2-neighborhood coverage count), and
 //   - an explicit tie-break Order, so each model's historical witness
 //     order is a declared parameter instead of an accident of which copy
 //     it ran on.

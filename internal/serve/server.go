@@ -266,14 +266,8 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 		return nil, label, errBadRequest("bad graph: %v", err)
 	}
 	key := checkCacheKey(iso.Certificate(g), req)
-	if v, ok := s.cache.get(key, exact); ok {
-		s.stats.cacheHit()
-		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true}, "check.hit", nil
-	}
-	if v, ok := s.store.get(key, exact); ok {
-		s.stats.storeHit()
-		s.cache.put(key, exact, v)
-		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true, Stored: true}, "check.store", nil
+	if resp, hit, ok := s.lookup(g, key, exact); ok {
+		return resp, hit, nil
 	}
 
 	ctx, cancel := s.withDeadline(ctx, req.TimeoutMS)
@@ -283,8 +277,15 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 	// graph: concurrent identical requests share one certification and
 	// one session slot. The leader caches and journals before the flight
 	// resolves, so by the time any follower (or a later request) proceeds
-	// the verdict is already servable without recomputation.
+	// the verdict is already servable without recomputation. A request
+	// that missed above may still reach the coalescer only after such a
+	// flight has closed, so the leader looks the verdict up once more.
+	var hit string
 	resp, led, err := s.coal.do(ctx, key+"\x00"+exact, func() (*CheckResponse, error) {
+		if resp, label, ok := s.lookup(g, key, exact); ok {
+			hit = label
+			return resp, nil
+		}
 		s.stats.cacheMiss()
 		release, err := s.acquire(ctx)
 		if err != nil {
@@ -315,6 +316,9 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 		if err != nil {
 			return nil, label, err
 		}
+		if hit != "" {
+			return resp, hit, nil
+		}
 		s.stats.coalesceLeader()
 		return resp, label, nil
 	}
@@ -324,6 +328,21 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 	s.stats.coalesceFollower()
 	resp.Coalesced = true
 	return resp, "check.coalesced", nil
+}
+
+// lookup answers a check from the verdict LRU, then from the persistent
+// store, returning the response and its latency label.
+func (s *Server) lookup(g *graph.Graph, key, exact string) (*CheckResponse, string, bool) {
+	if v, ok := s.cache.get(key, exact); ok {
+		s.stats.cacheHit()
+		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true}, "check.hit", true
+	}
+	if v, ok := s.store.get(key, exact); ok {
+		s.stats.storeHit()
+		s.cache.put(key, exact, v)
+		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true, Stored: true}, "check.store", true
+	}
+	return nil, "", false
 }
 
 // BestResponse answers a BestResponseRequest: one agent's cost-minimizing
