@@ -47,9 +47,10 @@ benchmulti:
 # session RowCache's invalidation rules against fresh BFS ground truth, the
 # greedy model's add/delete/swap apply/undo path, the budget model's
 # feasibility-guarded swap apply/undo path, the unified scan engine's
-# witnesses against the naive sequential enumeration, the batched
-# cross-agent sweep against the per-agent sweep, and the atlas corpus
-# format (sparse6 round-trip stability + iso dedupe-key soundness).
+# witnesses against the naive sequential enumeration, the shared-row
+# sweep against the per-agent sweep, the atlas corpus format (sparse6
+# round-trip stability + iso dedupe-key soundness), and the three graph
+# decoders on arbitrary bytes (no panic, vertex limit, round trip).
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzApplySwap -fuzztime=30s ./internal/pricing
 	$(GO) test -run=NONE -fuzz=FuzzRowCache -fuzztime=30s ./internal/pricing
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzScanEngine -fuzztime=30s ./internal/game
 	$(GO) test -run=NONE -fuzz=FuzzBatchedSweep -fuzztime=30s ./internal/game
 	$(GO) test -run=NONE -fuzz=FuzzAtlasRoundTrip -fuzztime=30s ./internal/atlas
+	$(GO) test -run=NONE -fuzz=FuzzDecodeGraph -fuzztime=30s ./internal/graphio
 
 # End-to-end CLI smoke of every deviation model (mirrors the CI step),
 # then the service load harness: k concurrent clients replay the mixed

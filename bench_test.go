@@ -116,26 +116,29 @@ func BenchmarkAPSPParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckSumStar is the per-agent sum check of a stable star — the
+// fallback path, taken explicitly through core.CheckPerAgent: Θ(n²)
+// endpoint BFS.
 func BenchmarkCheckSumStar(b *testing.B) {
 	g := Star(128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ok, _, err := core.CheckSum(g, 0); !ok || err != nil {
+		if v, err := core.CheckPerAgent(g, core.CheckSpec{Objective: core.Sum}); !v.Stable || err != nil {
 			b.Fatal("star rejected")
 		}
 	}
 }
 
-// BenchmarkCheckSumStarBatched is CheckSumStar through the batched
-// cross-agent sweep: the n shared endpoint rows filter every leaf's
-// candidate scan down to zero exact verifications on a stable star, so the
-// pass costs Θ(n + m) BFS instead of Θ(n²). Same verdict and witness as
-// CheckSum (pinned by TestCheckSwapBatchedMatchesCheckSwap).
+// BenchmarkCheckSumStarBatched is CheckSumStar on the path core.Check
+// picks, the shared-row sweep: the n shared endpoint rows filter every
+// leaf's candidate scan down to zero exact verifications on a stable
+// star, so the pass costs Θ(n + m) BFS instead of Θ(n²). Same verdict and
+// witness (pinned by TestCheckSwapBatchedMatchesCheckSwap).
 func BenchmarkCheckSumStarBatched(b *testing.B) {
 	g := Star(128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ok, _, err := core.CheckSumBatched(g, 0); !ok || err != nil {
+		if v, err := core.Check(g, core.CheckSpec{Objective: core.Sum}); !v.Stable || err != nil {
 			b.Fatal("star rejected")
 		}
 	}
@@ -276,11 +279,32 @@ func BenchmarkDynamicsFirstImprovement(b *testing.B) { benchDynamics(b, dynamics
 func BenchmarkDynamicsRandomImproving(b *testing.B)  { benchDynamics(b, dynamics.RandomImproving) }
 
 // Tentpole ablation: the incremental pricing session held across a whole
-// trajectory (dynamics.Run) vs the re-freeze-per-move oracle
-// (dynamics.NaiveRun) on 128+ vertex instances; both run single-worker so
-// the difference is the snapshot lifecycle, not parallelism. Trajectories
-// are bit-identical (see internal/dynamics differential tests), so each
-// pair does the same moves. ROADMAP.md records the measured numbers.
+// trajectory vs the re-freeze-per-move oracle (dynamics.NaiveRun) on 128+
+// vertex instances; both run single-worker on the per-agent paths
+// (runPerAgent), so the difference is the snapshot lifecycle, not
+// parallelism or row reuse. Trajectories are bit-identical (see
+// internal/dynamics differential tests), so each pair does the same moves.
+// ROADMAP.md records the measured numbers.
+
+// perAgentModel wraps a model so its fast instances hide every optional
+// capability: dynamics then takes the per-agent fallback paths on them,
+// as it does for 2nb or graphs too large for the shared rows.
+type perAgentModel struct{ game.Model }
+
+type perAgentInstance struct{ game.Instance }
+
+func (m perAgentModel) New(g *graph.Graph, workers int) game.Instance {
+	return perAgentInstance{m.Model.New(g, workers)}
+}
+
+// runPerAgent is dynamics.Run on the per-agent paths.
+func runPerAgent(g *graph.Graph, opt dynamics.Options) (*dynamics.Result, error) {
+	if opt.Model == nil {
+		opt.Model = game.Swap{}
+	}
+	opt.Model = perAgentModel{opt.Model}
+	return dynamics.Run(g, opt)
+}
 
 func benchDynamicsAblation(b *testing.B, run func(*graph.Graph, dynamics.Options) (*dynamics.Result, error),
 	mk func() *graph.Graph, policy dynamics.Policy, obj core.Objective) {
@@ -297,7 +321,7 @@ func benchDynamicsAblation(b *testing.B, run func(*graph.Graph, dynamics.Options
 }
 
 func BenchmarkDynamicsSessionBestResponsePath128(b *testing.B) {
-	benchDynamicsAblation(b, dynamics.Run, func() *graph.Graph { return Path(128) },
+	benchDynamicsAblation(b, runPerAgent, func() *graph.Graph { return Path(128) },
 		dynamics.BestResponse, core.Sum)
 }
 
@@ -307,7 +331,7 @@ func BenchmarkDynamicsRefreezeBestResponsePath128(b *testing.B) {
 }
 
 func BenchmarkDynamicsSessionFirstImprovementPath128(b *testing.B) {
-	benchDynamicsAblation(b, dynamics.Run, func() *graph.Graph { return Path(128) },
+	benchDynamicsAblation(b, runPerAgent, func() *graph.Graph { return Path(128) },
 		dynamics.FirstImprovement, core.Sum)
 }
 
@@ -317,7 +341,7 @@ func BenchmarkDynamicsRefreezeFirstImprovementPath128(b *testing.B) {
 }
 
 func BenchmarkDynamicsSessionRandomImprovingPath128(b *testing.B) {
-	benchDynamicsAblation(b, dynamics.Run, func() *graph.Graph { return Path(128) },
+	benchDynamicsAblation(b, runPerAgent, func() *graph.Graph { return Path(128) },
 		dynamics.RandomImproving, core.Sum)
 }
 
@@ -331,7 +355,7 @@ func BenchmarkDynamicsRefreezeRandomImprovingPath128(b *testing.B) {
 // per-vertex re-freeze.
 
 func BenchmarkDynamicsSessionCertifyTorus256(b *testing.B) {
-	benchDynamicsAblation(b, dynamics.Run, func() *graph.Graph { return NewTorus(8).Graph() },
+	benchDynamicsAblation(b, runPerAgent, func() *graph.Graph { return NewTorus(8).Graph() },
 		dynamics.BestResponse, core.Max)
 }
 
@@ -340,39 +364,16 @@ func BenchmarkDynamicsRefreezeCertifyTorus256(b *testing.B) {
 		dynamics.BestResponse, core.Max)
 }
 
-// Trajectory-batched certification: the same random-improving run with
-// its certification sweeps routed through the batched cross-agent pass,
-// whose shared rows persist in the session's RowCache across the
-// trajectory's sweeps (only rows invalidated by applied moves are
-// recomputed). The trajectory is bit-identical to the unbatched run
-// (internal/dynamics differential tests); the row-reuse-vs-fresh ablation
-// at the sweep level lives in internal/game's CertifySweeps/SweepRows
-// benchmarks. ROADMAP.md records the measured numbers.
-
-func BenchmarkDynamicsSessionRandomImprovingBatchedPath128(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		g := Path(128)
-		b.StartTimer()
-		res, err := dynamics.Run(g, dynamics.Options{
-			Objective: core.Sum, Policy: dynamics.RandomImproving,
-			Seed: 7, Workers: 1, BatchedSweeps: true,
-		})
-		if err != nil || !res.Converged {
-			b.Fatal("dynamics failed", err)
-		}
-	}
-}
-
-// Row-cached per-agent dynamics: the same trajectories as the Session
-// ablation pair above, with BatchedSweeps routing the per-agent policy
-// scans, the random policy's probes, and the certification sweeps through
-// the session RowCache. With the exact remove-invalidation test and
-// ApplySwap's insert-before-remove ordering, an applied move near
-// equilibrium invalidates O(1) rows, so the hot loop reprices from cached
-// rows instead of paying ~n BFS per scan. Trajectories are bit-identical
-// to the uncached counterparts (internal/dynamics differential tests).
+// Row-cached dynamics: the same trajectories as the Session ablation pair
+// above, on the path dynamics.Run picks — the per-agent policy scans, the
+// random policy's probes (thresholded cached-row rejection) and the
+// certification sweeps read the session RowCache, whose rows are computed
+// on first read and kept across the trajectory. With the exact
+// remove-invalidation test and ApplySwap's insert-before-remove ordering,
+// an applied move near equilibrium invalidates O(1) rows, so the hot loop
+// reprices from cached rows instead of paying ~n BFS per scan.
+// Trajectories are bit-identical to the per-agent counterparts
+// (internal/dynamics differential tests).
 
 func benchDynamicsRowCached(b *testing.B, policy dynamics.Policy) {
 	b.ReportAllocs()
@@ -382,7 +383,7 @@ func benchDynamicsRowCached(b *testing.B, policy dynamics.Policy) {
 		b.StartTimer()
 		res, err := dynamics.Run(g, dynamics.Options{
 			Objective: core.Sum, Policy: policy,
-			Seed: 7, Workers: 1, BatchedSweeps: true,
+			Seed: 7, Workers: 1,
 		})
 		if err != nil || !res.Converged {
 			b.Fatal("dynamics failed", err)
@@ -436,7 +437,7 @@ func BenchmarkRowCacheSwapInvalidation(b *testing.B) {
 // Multicore sweep targets (make benchmulti): every worker count here
 // resolves from GOMAXPROCS, so `go test -cpu=1,2,4,8 -bench=^BenchmarkMulti`
 // produces the scaling datapoints for the three parallel datapaths — the
-// sharded scan engine, the batched cross-agent sweep, and the row cache's
+// sharded per-agent scan engine, the shared-row sweep, and the row cache's
 // sharded Sync. Verdicts and rows are worker-count invariant (pinned by
 // TestModelsScanWorkerInvariant and the row-cache differentials), so the
 // sweep measures scheduling only.
@@ -446,7 +447,7 @@ func BenchmarkMultiScanEngineTorus256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ok, _, err := core.CheckMax(g, 0); !ok || err != nil {
+		if v, err := core.CheckPerAgent(g, core.CheckSpec{Objective: core.Max}); !v.Stable || err != nil {
 			b.Fatal("torus rejected")
 		}
 	}

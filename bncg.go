@@ -54,12 +54,13 @@ type (
 	Torus = constructions.Torus
 	// MultiTorus is the d-dimensional Section 4 generalization.
 	MultiTorus = constructions.MultiTorus
-	// CheckSpec selects one equilibrium check (model, objective, batched
-	// routing, workers) — the unified request shape behind Check, the
-	// dynamics spec, and the serving layer.
+	// CheckSpec selects one equilibrium check (model, objective, side
+	// condition, workers) — the unified request shape behind Check, the
+	// dynamics spec, and the serving layer. The engine picks the execution
+	// path itself; the Batched field is accepted and ignored.
 	CheckSpec = core.CheckSpec
 	// Verdict is the outcome of a Check: stability bit, witness, and
-	// whether the batched pass actually ran.
+	// whether the shared-row pass ran.
 	Verdict = core.Verdict
 	// DynamicsSpec configures RunDynamicsSpec; it embeds CheckSpec.
 	DynamicsSpec = dynamics.Spec
@@ -69,8 +70,8 @@ type (
 	DynamicsOptions = dynamics.Options
 	// DynamicsResult reports a dynamics run.
 	DynamicsResult = dynamics.Result
-	// BatchedState reports how a dynamics run honored a batched-sweeps
-	// request (off, active, or explicit per-agent fallback).
+	// BatchedState reports which path a dynamics run took (shared-row
+	// active, or per-agent fallback).
 	BatchedState = dynamics.BatchedState
 	// ExperimentConfig scales the experiment harness.
 	ExperimentConfig = experiments.Config
@@ -93,7 +94,8 @@ const (
 	RandomImproving  = dynamics.RandomImproving
 )
 
-// Batched-sweep states reported by DynamicsResult.Batched.
+// Path reports of DynamicsResult.Batched (BatchedOff is no longer
+// reported).
 const (
 	BatchedOff      = dynamics.BatchedOff
 	BatchedActive   = dynamics.BatchedActive
@@ -172,33 +174,6 @@ func CheckMax(g *Graph, workers int) (bool, *Violation, error) {
 // Deprecated: use Check with CheckSpec{Objective: obj, StableOnly: true}.
 func CheckSwapStable(g *Graph, obj Objective, workers int) (bool, *Violation, error) {
 	return core.CheckSwapStable(g, obj, workers)
-}
-
-// CheckSumBatched is CheckSum via the batched cross-agent sweep: candidate
-// endpoint BFS rows are computed once and reused across agents as sound
-// lower-bound filters (O(n²) transient memory, far fewer BFS). Verdict and
-// witness are bit-identical to CheckSum.
-//
-// Deprecated: use Check with CheckSpec{Objective: Sum, Batched: true}.
-func CheckSumBatched(g *Graph, workers int) (bool, *Violation, error) {
-	return core.CheckSumBatched(g, workers)
-}
-
-// CheckMaxBatched is CheckMax via the batched cross-agent sweep; verdict
-// and witness are bit-identical to CheckMax.
-//
-// Deprecated: use Check with CheckSpec{Objective: Max, Batched: true}.
-func CheckMaxBatched(g *Graph, workers int) (bool, *Violation, error) {
-	return core.CheckMaxBatched(g, workers)
-}
-
-// CheckSwapStableBatched is CheckSwapStable via the batched cross-agent
-// sweep; verdict and witness are bit-identical.
-//
-// Deprecated: use Check with CheckSpec{Objective: obj, StableOnly: true,
-// Batched: true}.
-func CheckSwapStableBatched(g *Graph, obj Objective, workers int) (bool, *Violation, error) {
-	return core.CheckSwapStableBatched(g, obj, workers)
 }
 
 // IsInsertionStable reports whether no single edge insertion decreases an

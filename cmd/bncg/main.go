@@ -197,7 +197,7 @@ func cmdCheck(args []string) error {
 	in := fs.String("in", "", "input graph file (required)")
 	format := fs.String("format", "edgelist", "edgelist|graph6|sparse6")
 	workers := fs.Int("workers", 0, "parallel workers (0 = all cores)")
-	batched := fs.Bool("batched", false, "equilibrium checks via the batched cross-agent sweep (same verdicts/witnesses; reuses endpoint BFS rows across agents, O(n²) transient memory)")
+	fs.Bool("batched", false, "deprecated, accepted and ignored: checks take the shared-row path by themselves whenever the model has one and the graph's rows fit (5n² bytes ≤ 64 MiB, n ≤ 3663), else the per-agent path; the verdict is identical either way")
 	server := fs.String("server", "", "base URL of a running `bncg serve` to check against; empty runs the identical code path in process")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -244,7 +244,7 @@ func cmdCheck(args []string) error {
 	api := newAPI(*server, *workers)
 	equilibrium := func(objective string) (bool, *core.Violation, error) {
 		resp, err := api.Check(context.Background(), serve.CheckRequest{
-			Graph: dto, Objective: objective, Batched: *batched, Workers: *workers,
+			Graph: dto, Objective: objective, Workers: *workers,
 		})
 		if err != nil {
 			return false, nil, err
@@ -280,7 +280,7 @@ func cmdDynamics(args []string) error {
 	budget := fs.Int("budget", game.DefaultBudget, "budget model: uniform per-vertex edge budget k (re-points must target a vertex with deg < k)")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "pricing workers for every policy, including the random policy's certification sweeps (0 = all cores; trajectories are identical for any count)")
-	batched := fs.Bool("batched", false, "certification sweeps via the batched cross-agent pass, with shared rows persisted in the session's row cache across sweeps (identical trajectories; trades O(n²) resident memory for fewer BFS; every BFS-priced model has one, greedy included — only 2nb and naive oracles fall back per agent, reported as batched=fallback)")
+	fs.Bool("batched", false, "deprecated, accepted and ignored: runs take the shared-row path by themselves (rows filled on first read and kept in the session's row cache across moves) whenever the model has one and the graph's rows fit (5n² bytes ≤ 64 MiB, n ≤ 3663); 2nb and larger graphs run per agent, reported as batched=fallback; trajectories are identical either way")
 	trace := fs.Bool("trace", false, "print every applied move")
 	stream := fs.Bool("stream", false, "run over the streaming endpoint, printing moves as they are applied (NDJSON /v1/dynamics/stream when -server is set)")
 	server := fs.String("server", "", "base URL of a running `bncg serve` to run on; empty runs the identical code path in process")
@@ -332,7 +332,7 @@ func cmdDynamics(args []string) error {
 	api := newAPI(*server, *workers)
 	req := serve.DynamicsRequest{
 		Graph: dto, Model: mdto, Objective: objective, Policy: *policy,
-		Seed: *seed, Batched: *batched, Workers: *workers,
+		Seed: *seed, Workers: *workers,
 		Trace: *trace, Certify: true,
 	}
 	var res *serve.DynamicsResponse
@@ -367,16 +367,14 @@ func cmdDynamics(args []string) error {
 	after, _ := final.Diameter()
 	fmt.Printf("n=%d init=%s obj=%s policy=%s model=%s: converged=%v moves=%d sweeps=%d diameter %d→%d m %d→%d",
 		*n, *initKind, objective, pol, mdl.Name(), res.Converged, res.Moves, res.Sweeps, before, after, mBefore, final.M())
-	if res.Batched != "off" {
-		// An explicit fallback report: requesting -batched on a model
-		// without a batched pass used to silently run per agent.
-		fmt.Printf(" batched=%s", res.Batched)
-	}
+	// Which path ran: active (shared rows) or fallback (per agent).
+	fmt.Printf(" batched=%s", res.Batched)
 	if res.RowsRecomputed > 0 || res.RowsInvalidated > 0 {
-		// The row cache's effectiveness over the run: BFS rebuilds paid
-		// vs rows invalidated by applied moves. Near equilibrium both
-		// stay O(1) per move under the exact remove test.
-		fmt.Printf(" rows recomputed=%d invalidated=%d", res.RowsRecomputed, res.RowsInvalidated)
+		// The row cache's effectiveness over the run: rows computed vs
+		// rows invalidated by applied moves. Above one worker both depend
+		// on scheduling, so they go to stderr and stdout stays identical
+		// for every worker count.
+		fmt.Fprintf(os.Stderr, "rows recomputed=%d invalidated=%d\n", res.RowsRecomputed, res.RowsInvalidated)
 	}
 	fmt.Println()
 	if res.Converged && res.Certified != nil {

@@ -8,7 +8,7 @@
 // of the related literature (Nikoletseas et al., Ehsani et al.), a
 // standing differential regression suite that pins every future checker
 // change against hundreds of known-verdict instances (Verify re-certifies
-// each entry through both the per-agent and batched paths and requires
+// each entry through both the per-agent and shared-row paths and requires
 // bit-identical verdicts, witnesses, and metadata), and a scenario pool
 // the service load generator replays for wider coverage than the
 // hardcoded path/star/torus mix.
@@ -54,9 +54,9 @@ const (
 // KindNearMiss, Source records how the hunt found the graph
 // ("family:star8", "trees-exhaustive:n6", "dynamics:best",
 // "perturbed:eq-0004"), and Witness is set for near-misses only. The
-// store-only Batched / BatchedRan bits are never set (the corpus pins the
-// per-agent path), so their omitempty tags keep the corpus rendering
-// byte-identical to the pre-embedding layout.
+// store-only Batched / BatchedRan bits are never set (the corpus records
+// the per-agent verdict), so their omitempty tags keep the corpus
+// rendering byte-identical to the pre-embedding layout.
 type Entry struct {
 	serve.StoreEntry
 	// IsoKey is the graph's isomorphism-class key under the corpus
@@ -198,10 +198,12 @@ func Read(dir string) (*Corpus, error) {
 	return c, nil
 }
 
-// Certify runs the entry's check through both execution paths — per-agent
-// and batched — and requires identical verdicts and witnesses before
-// returning the per-agent one; a divergence is exactly the class of
-// regression the corpus exists to catch, so it is an error, not a pick.
+// Certify runs the entry's check through both execution paths — the
+// per-agent reference (core.CheckPerAgent) and the path core.Check picks,
+// the shared-row pass for every model that has one — and requires
+// identical verdicts and witnesses before returning the per-agent one; a
+// divergence is exactly the class of regression the corpus exists to
+// catch, so it is an error, not a pick.
 func Certify(g *graph.Graph, model serve.ModelDTO, objective string, stableOnly bool, workers int) (core.Verdict, error) {
 	m, err := model.Build(g.N())
 	if err != nil {
@@ -216,19 +218,18 @@ func Certify(g *graph.Graph, model serve.ModelDTO, objective string, stableOnly 
 		return core.Verdict{}, fmt.Errorf("atlas: unknown objective %q", objective)
 	}
 	spec := core.CheckSpec{Model: m, Objective: obj, StableOnly: stableOnly, Workers: workers}
-	plain, err := core.Check(g, spec)
+	plain, err := core.CheckPerAgent(g, spec)
 	if err != nil {
 		return core.Verdict{}, err
 	}
-	spec.Batched = true
-	batched, err := core.Check(g, spec)
+	shared, err := core.Check(g, spec)
 	if err != nil {
 		return core.Verdict{}, err
 	}
-	if plain.Stable != batched.Stable || !sameViolation(plain.Violation, batched.Violation) {
+	if plain.Stable != shared.Stable || !sameViolation(plain.Violation, shared.Violation) {
 		return core.Verdict{}, fmt.Errorf(
-			"atlas: batched/per-agent divergence (model=%s obj=%s): per-agent stable=%v %v, batched stable=%v %v",
-			model.Name, objective, plain.Stable, plain.Violation, batched.Stable, batched.Violation)
+			"atlas: shared-row/per-agent divergence (model=%s obj=%s): per-agent stable=%v %v, shared-row stable=%v %v",
+			model.Name, objective, plain.Stable, plain.Violation, shared.Stable, shared.Violation)
 	}
 	return plain, nil
 }

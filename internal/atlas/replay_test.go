@@ -26,7 +26,7 @@ func readCorpus(t *testing.T) *Corpus {
 
 // TestCorpusReplay is the standing differential regression suite: every
 // checked-in corpus entry is re-certified through both the per-agent and
-// batched checker paths for its stored model × objective × side-condition
+// shared-row checker paths for its stored model × objective × side-condition
 // combination, and the recomputed entry — verdict, witness, structure
 // metadata, iso key — must re-marshal byte-identically to the stored JSONL
 // line. A checker change that shifts any verdict, witness tie-break, cost,

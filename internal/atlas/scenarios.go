@@ -10,9 +10,10 @@ import (
 // Scenarios converts corpus entries into replayable service scenarios for
 // the load generator: every selected entry becomes a CheckRequest with the
 // entry's exact model, objective, and side-condition selection (so the
-// expected verdict is the stored one), and equilibrium entries additionally
-// replay through the batched path — the wider scenario-diversity set the
-// hardcoded path/star/torus mix lacked. max > 0 bounds the selection by
+// expected verdict is the stored one) — the wider scenario-diversity set
+// the hardcoded path/star/torus mix lacked. Equilibrium entries also
+// replay with the deprecated batched bit set, which the server must accept
+// and answer from the same cache entry. max > 0 bounds the selection by
 // drawing a seeded uniform sample without replacement (deterministic per
 // seed); max <= 0 takes the whole corpus.
 func Scenarios(c *Corpus, max int, seed int64) []serve.Scenario {

@@ -84,9 +84,11 @@ func NaiveBestSwap(g *graph.Graph, v int, obj Objective) (best Move, newCost int
 
 // The historical Check* surface — CheckSum / CheckMax / CheckSwapStable
 // crossed with their *Batched twins — collapsed into the single
-// Check(g, CheckSpec) entry point (spec.go). The old names survive below
-// as one-line deprecated wrappers with unchanged signatures, verdicts, and
-// witnesses, so golden traces and examples stay bit-identical.
+// Check(g, CheckSpec) entry point (spec.go). The three base names survive
+// below as one-line deprecated wrappers with unchanged signatures,
+// verdicts, and witnesses, so golden traces and examples stay
+// bit-identical; the *Batched twins were removed once every check took
+// the shared-row path by itself.
 
 // unwrap adapts a Verdict to the historical (ok, violation, error) shape.
 func unwrap(v Verdict, err error) (bool, *Violation, error) {
@@ -136,39 +138,6 @@ func CheckSwapStable(g *graph.Graph, obj Objective, workers int) (bool, *Violati
 // Deprecated: use Check with CheckSpec{Objective: obj, StableOnly: true}.
 func CheckSwapEquilibrium(g *graph.Graph, obj Objective, workers int) (bool, *Violation, error) {
 	return CheckSwapStable(g, obj, workers)
-}
-
-// CheckSumBatched is CheckSum computed via the batched cross-agent sweep:
-// every candidate endpoint's full-graph BFS row is computed once and
-// reused across deviators as a sound lower-bound filter, with exact
-// verification only for flagged candidates. Verdict and witness are
-// bit-identical to CheckSum; the pass trades O(n²) transient memory for
-// an O(n²) → O(n + m + #flagged) drop in BFS count.
-//
-// Deprecated: use Check with CheckSpec{Objective: Sum, Batched: true}.
-func CheckSumBatched(g *graph.Graph, workers int) (bool, *Violation, error) {
-	return unwrap(Check(g, CheckSpec{Objective: Sum, Batched: true, Workers: workers}))
-}
-
-// CheckMaxBatched is CheckMax via the batched cross-agent sweep; the
-// deletion-criticality half still runs per agent from the scan's
-// dropped-edge rows. Verdict and witness match CheckMax exactly.
-//
-// Deprecated: use Check with CheckSpec{Objective: Max, Batched: true}.
-func CheckMaxBatched(g *graph.Graph, workers int) (bool, *Violation, error) {
-	return unwrap(Check(g, CheckSpec{Objective: Max, Batched: true, Workers: workers}))
-}
-
-// CheckSwapStableBatched is CheckSwapStable via the batched cross-agent
-// sweep (no deletion-criticality condition). Verdict and witness match
-// CheckSwapStable exactly.
-//
-// Deprecated: use Check with CheckSpec{Objective: obj, StableOnly: true,
-// Batched: true}.
-func CheckSwapStableBatched(g *graph.Graph, obj Objective, workers int) (bool, *Violation, error) {
-	return unwrap(Check(g, CheckSpec{
-		Objective: obj, StableOnly: true, Batched: true, Workers: workers,
-	}))
 }
 
 // LocalDiameterSpread returns max_v ecc(v) − min_v ecc(v). Lemma 2 of the

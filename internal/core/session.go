@@ -98,15 +98,6 @@ func (s *Session) FindImprovement(obj Objective) (m Move, oldCost, newCost int64
 	return s.inst.FindImprovement(obj)
 }
 
-// FindImprovementBatched is FindImprovement computed via the batched
-// cross-agent sweep: candidate-endpoint BFS rows are computed once over
-// the live snapshot and reused across deviators as lower-bound filters
-// (O(n²) transient memory). The result is bit-identical to
-// FindImprovement.
-func (s *Session) FindImprovementBatched(obj Objective) (m Move, oldCost, newCost int64, found bool) {
-	return s.inst.FindImprovementBatched(obj)
-}
-
 // CheckSwapStable reports whether no single swap strictly improves any
 // agent, certifying against the live snapshot without re-freezing; each
 // agent's scan is sharded across the session's workers. The verdict agrees

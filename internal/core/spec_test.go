@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/game"
 	"repro/internal/graph"
+	"repro/internal/pricing"
 	"repro/internal/treegen"
 )
 
@@ -57,8 +58,11 @@ func TestCheckSpecMatchesDeprecatedSurface(t *testing.T) {
 						t.Errorf("%s %+v: Check=(%v,%+v), game layer=(%v,%+v)",
 							name, spec, v.Stable, v.Violation, wantOK, wantViol)
 					}
-					if v.Batched != batched {
-						t.Errorf("%s: swap model Verdict.Batched=%v, requested %v", name, v.Batched, batched)
+					// The requested bit is ignored: the engine takes the
+					// shared-row path on every graph whose rows fit.
+					if want := pricing.RowCacheFits(g.N()); v.Batched != want {
+						t.Errorf("%s: swap model Verdict.Batched=%v (requested %v), want the engine's choice %v",
+							name, v.Batched, batched, want)
 					}
 				}
 			}
@@ -67,8 +71,8 @@ func TestCheckSpecMatchesDeprecatedSurface(t *testing.T) {
 }
 
 // TestCheckSpecBatchedFallbackReporting pins Verdict.Batched for non-swap
-// models: true only when the model's instance actually has a batched
-// cross-agent pass.
+// models: true only when the model's instance actually has a shared-row
+// pass, whatever the request asked for.
 func TestCheckSpecBatchedFallbackReporting(t *testing.T) {
 	g := pathGraph(8)
 	sets := make([][]int32, 8)
@@ -94,13 +98,16 @@ func TestCheckSpecBatchedFallbackReporting(t *testing.T) {
 			if v.Batched != tc.wantBatched {
 				t.Errorf("Verdict.Batched=%v, want %v", v.Batched, tc.wantBatched)
 			}
-			// And identical verdicts with and without the batched request.
-			plain, err := Check(g.Clone(), CheckSpec{Model: tc.model})
+			// And identical verdicts to the per-agent reference path.
+			plain, err := CheckPerAgent(g.Clone(), CheckSpec{Model: tc.model})
 			if err != nil {
-				t.Fatalf("plain check: %v", err)
+				t.Fatalf("per-agent check: %v", err)
+			}
+			if plain.Batched {
+				t.Errorf("CheckPerAgent reported the shared-row path")
 			}
 			if v.Stable != plain.Stable || !reflect.DeepEqual(v.Violation, plain.Violation) {
-				t.Errorf("batched verdict (%v,%+v) != plain (%v,%+v)",
+				t.Errorf("shared-row verdict (%v,%+v) != per-agent (%v,%+v)",
 					v.Stable, v.Violation, plain.Stable, plain.Violation)
 			}
 		})
@@ -121,6 +128,46 @@ func TestCheckCtxCancellation(t *testing.T) {
 	} {
 		if _, err := CheckCtx(ctx, g.Clone(), spec); err != context.Canceled {
 			t.Errorf("spec %+v: err=%v, want context.Canceled", spec, err)
+		}
+	}
+}
+
+// TestSharedRowSizeBoundary pins the one size rule: a graph whose row
+// arenas (5n² bytes) just fit in pricing.RowCacheMaxBytes takes the
+// shared-row path, and one vertex more falls back to the per-agent path —
+// with the same verdict and witness. Paths exit at agent 0, and rows are
+// filled on read, so neither check touches more than a few rows of its
+// arena.
+func TestSharedRowSizeBoundary(t *testing.T) {
+	limit := 0
+	for pricing.RowCacheFits(limit + 1) {
+		limit++
+	}
+	if 5*limit*limit > pricing.RowCacheMaxBytes || 5*(limit+1)*(limit+1) <= pricing.RowCacheMaxBytes {
+		t.Fatalf("RowCacheFits boundary at n=%d disagrees with 5n² ≤ %d", limit, pricing.RowCacheMaxBytes)
+	}
+	for _, tc := range []struct {
+		n      int
+		shared bool
+	}{{limit, true}, {limit + 1, false}} {
+		for _, model := range []game.Model{nil, game.Budget{K: 3}} {
+			v, err := Check(pathGraph(tc.n), CheckSpec{Model: model, Workers: 1})
+			if err != nil {
+				t.Fatalf("n=%d: %v", tc.n, err)
+			}
+			if v.Batched != tc.shared {
+				t.Errorf("n=%d model %v: Verdict.Batched=%v, want %v", tc.n, model, v.Batched, tc.shared)
+			}
+			if v.Stable || v.Violation == nil || v.Violation.Agent != 0 {
+				t.Fatalf("n=%d model %v: want a violation at agent 0, got %+v", tc.n, model, v)
+			}
+			ref, err := CheckPerAgent(pathGraph(tc.n), CheckSpec{Model: model, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(v.Violation, ref.Violation) {
+				t.Errorf("n=%d model %v: witness %+v, per-agent %+v", tc.n, model, v.Violation, ref.Violation)
+			}
 		}
 	}
 }

@@ -1,20 +1,36 @@
 package dynamics
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/game"
+	"repro/internal/graph"
 	"repro/internal/treegen"
 )
+
+// perAgent hides every optional capability of the wrapped instance, so
+// drive takes the per-agent paths on it: the reference the shared-row
+// path is pinned against.
+type perAgent struct{ game.Instance }
+
+// runPerAgent is Run forced onto the per-agent paths.
+func runPerAgent(g *graph.Graph, opt Options) (*Result, error) {
+	spec := opt.Spec()
+	if err := validate(g, &spec); err != nil {
+		return nil, err
+	}
+	return drive(context.Background(), perAgent{spec.model().New(g, spec.Workers)}, spec)
+}
 
 // TestBatchedSweepsIdenticalTrajectories pins that routing a trajectory
 // through the session row cache — the sweeping policies' per-agent scans,
 // the random policy's thresholded probes, and every policy's certification
-// sweeps all go through the cache's shared rows when BatchedSweeps is set —
-// changes nothing observable: same moves, same costs, same sweep and
-// convergence accounting, for the models that have the cached paths and
-// for one that falls back (2-neighborhood).
+// sweeps all go through the cache's shared rows — changes nothing
+// observable against the per-agent paths: same moves, same costs, same
+// sweep and convergence accounting, for the models that have the cached
+// paths and for one that falls back (2-neighborhood).
 func TestBatchedSweepsIdenticalTrajectories(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	models := []game.Model{
@@ -22,7 +38,7 @@ func TestBatchedSweepsIdenticalTrajectories(t *testing.T) {
 		game.RandomInterests(48, 0.4, rng),
 		game.Budget{K: 3},
 		game.Greedy{EdgeCost: 2},
-		game.TwoNeighborhood{}, // no batched pass: exercises the fallback
+		game.TwoNeighborhood{}, // no shared-row pass: exercises the fallback
 	}
 	base := treegen.RandomTree(48, rng)
 	for _, model := range models {
@@ -33,18 +49,19 @@ func TestBatchedSweepsIdenticalTrajectories(t *testing.T) {
 					Workers: 2, Seed: 5, Trace: true, MaxMoves: 400,
 				}
 				gSeq, gBat := base.Clone(), base.Clone()
-				optBat := opt
-				optBat.BatchedSweeps = true
-				seq, err := Run(gSeq, opt)
+				seq, err := runPerAgent(gSeq, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bat, err := Run(gBat, optBat)
+				if seq.Batched != BatchedFallback {
+					t.Fatalf("%s/%v/%v: per-agent reference reported %v", model.Name(), policy, obj, seq.Batched)
+				}
+				bat, err := Run(gBat, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if seq.Converged != bat.Converged || seq.Moves != bat.Moves || seq.Sweeps != bat.Sweeps {
-					t.Fatalf("%s/%v/%v: results diverge: sequential %+v, batched %+v",
+					t.Fatalf("%s/%v/%v: results diverge: per-agent %+v, shared-row %+v",
 						model.Name(), policy, obj, seq, bat)
 				}
 				if len(seq.Trace) != len(bat.Trace) {

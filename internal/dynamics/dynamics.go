@@ -75,28 +75,28 @@ func (p Policy) String() string {
 }
 
 // Spec configures a dynamics run. It embeds core.CheckSpec — the same
-// struct that selects an equilibrium check — so the model, objective,
-// worker budget, and batched-sweep routing are declared once and shared
-// verbatim between one-shot checks, dynamics, and the service layer. The
-// zero value is a usable sum-version best-response run of the basic swap
-// game with default budgets.
+// struct that selects an equilibrium check — so the model, objective, and
+// worker budget are declared once and shared verbatim between one-shot
+// checks, dynamics, and the service layer. The zero value is a usable
+// sum-version best-response run of the basic swap game with default
+// budgets.
 //
 // CheckSpec fields under dynamics semantics:
 //
 //   - Model: the deviation model (nil means game.Swap{}, the basic game).
 //   - Objective: the usage cost agents minimize.
-//   - Batched: route the whole trajectory through the shared-row
-//     machinery where the model supports it — certification sweeps
-//     through the batched cross-agent pass (game.BatchedSweeper), the
-//     sweeping policies' per-agent scans through the session row cache
-//     (game.RowCachedScanner), and the random policy's probes through
-//     thresholded cached-row rejection (game.MoveBelowPricer). Every
-//     routed path returns observably identical moves and costs, so
-//     trajectories do not depend on this flag; models without the
-//     capabilities fall back to the per-agent paths, which Result.Batched
-//     reports explicitly.
 //   - Workers: pricing parallelism of every policy (<= 0 means all
 //     cores); trajectories are bit-identical for every worker count.
+//   - Batched: accepted and ignored. The whole trajectory runs through
+//     the shared-row machinery whenever the model has it and the graph's
+//     row arenas fit (game.UsesSharedRows): certification sweeps through
+//     the shared-row pass (game.BatchedSweeper), the sweeping policies'
+//     per-agent scans through the session row cache
+//     (game.RowCachedScanner), and the random policy's probes through
+//     thresholded cached-row rejection (game.MoveBelowPricer). Every
+//     routed path returns observably identical moves and costs to the
+//     per-agent paths that 2nb, the naive oracles and oversized graphs
+//     run; Result.Batched reports which one ran.
 //   - StableOnly: ignored — dynamics certify exactly the no-improving-move
 //     condition.
 type Spec struct {
@@ -141,8 +141,7 @@ type Options struct {
 	Seed int64
 	// PatienceFactor scales the random policy's certification patience.
 	PatienceFactor int
-	// BatchedSweeps routes certification sweeps through the model's
-	// batched cross-agent pass when it has one.
+	// BatchedSweeps is accepted and ignored, like CheckSpec.Batched.
 	BatchedSweeps bool
 	// Trace records every applied move when true.
 	Trace bool
@@ -185,23 +184,23 @@ type TraceEntry struct {
 	MoveRank   int   // 1-based index in the run
 }
 
-// BatchedState reports how a run honored the Batched request: not
-// requested at all, actively routed through the model's batched
-// cross-agent pass, or requested but fallen back to the per-agent sweep
-// because the model has no batched pass (2-neighborhood and every naive
-// oracle; every BFS-priced model, greedy included, has one). The fallback
-// used to be silent; Result and the CLI now surface it.
+// BatchedState reports which path a run took: the shared-row machinery
+// (active), or the per-agent scans (fallback) because the instance has no
+// shared-row pass (2-neighborhood and every naive oracle) or the graph's
+// row arenas exceed pricing.RowCacheMaxBytes. Result and the CLI surface
+// it.
 type BatchedState int
 
 const (
-	// BatchedOff: batched sweeps were not requested.
+	// BatchedOff is no longer reported: the engine picks the path itself.
+	//
+	// Deprecated: runs report BatchedActive or BatchedFallback.
 	BatchedOff BatchedState = iota
-	// BatchedActive: requested, and certification sweeps route through
-	// the model's batched cross-agent pass.
+	// BatchedActive: certification sweeps, scans and probes route through
+	// the session row cache's shared rows.
 	BatchedActive
-	// BatchedFallback: requested, but the model has no batched pass —
-	// certification sweeps ran per agent (identical results, none of the
-	// endpoint-row reuse).
+	// BatchedFallback: the run took the per-agent paths (identical
+	// results, none of the endpoint-row reuse).
 	BatchedFallback
 )
 
@@ -225,14 +224,16 @@ type Result struct {
 	Converged bool
 	Moves     int
 	Sweeps    int // full certification / improvement sweeps performed
-	// Batched reports whether the Batched request was honored by the
-	// model's batched pass or fell back to per-agent sweeps.
+	// Batched reports whether the run took the shared-row path or fell
+	// back to per-agent sweeps.
 	Batched BatchedState
 	// RowsRecomputed and RowsInvalidated report the session row cache's
-	// work over the trajectory — BFS row rebuilds paid at Syncs, and rows
+	// work over the trajectory — BFS rows computed on first read, and rows
 	// flagged by applied moves' invalidation tests. Both are zero when the
-	// run never attached a cache (Batched off, or a model without one);
-	// together they make cache effectiveness observable per trajectory.
+	// run never attached a cache (a fallback run); together they make
+	// cache effectiveness observable per trajectory. With more than one
+	// worker both depend on scheduling: a first-improving scan may price,
+	// and so fill rows of, endpoints past its winner.
 	RowsRecomputed  uint64
 	RowsInvalidated uint64
 	Trace           []TraceEntry
@@ -305,26 +306,23 @@ func NaiveRunSpec(g *graph.Graph, spec Spec) (*Result, error) {
 	return drive(context.Background(), spec.model().Naive(g, spec.Workers), spec)
 }
 
-// drive dispatches the validated run to the policy loop. The instance's
-// pooled resources (the row-cache arenas a batched run attaches) are
-// released on every exit path; its cache counters are read into the
-// Result first.
+// drive dispatches the validated run to the policy loop, on the
+// shared-row path when the instance supports it (game.UsesSharedRows). The
+// instance's pooled resources (the row-cache arenas) are released on every
+// exit path; its cache counters are read into the Result first.
 func drive(ctx context.Context, inst game.Instance, opt Spec) (*Result, error) {
 	defer game.CloseInstance(inst)
-	res := &Result{}
-	if opt.Batched {
-		if game.HasBatchedSweep(inst) {
-			res.Batched = BatchedActive
-		} else {
-			res.Batched = BatchedFallback
-		}
+	shared := game.UsesSharedRows(inst)
+	res := &Result{Batched: BatchedFallback}
+	if shared {
+		res.Batched = BatchedActive
 	}
 	var err error
 	switch opt.Policy {
 	case BestResponse, FirstImprovement:
-		err = runSweeping(ctx, inst, opt, res)
+		err = runSweeping(ctx, inst, opt, shared, res)
 	case RandomImproving:
-		err = runRandom(ctx, inst, opt, res)
+		err = runRandom(ctx, inst, opt, shared, res)
 	}
 	if st, ok := game.InstanceRowCacheStats(inst); ok {
 		res.RowsRecomputed, res.RowsInvalidated = st.Recomputed, st.Invalidated
@@ -357,8 +355,8 @@ func applyAndRecord(inst game.Instance, m core.Move, oldCost, newCost int64, opt
 }
 
 // runSweeping drives the two deterministic round-robin policies through
-// the shared convergence loop. When Batched is requested and the model
-// scans through the session row cache (game.RowCachedScanner), each
+// the shared convergence loop. On the shared-row path (the model scans
+// through the session row cache, game.RowCachedScanner), each
 // agent's scan prices candidate endpoints from the cached shared rows —
 // observably identical moves, but an applied move only invalidates the
 // rows it actually changes (exact under the multiplicity rule), so a
@@ -366,10 +364,10 @@ func applyAndRecord(inst game.Instance, m core.Move, oldCost, newCost int64, opt
 // polled before each agent's scan; once it expires every remaining step
 // is skipped so the loop unwinds in O(n) cheap polls and the context
 // error is returned.
-func runSweeping(ctx context.Context, inst game.Instance, opt Spec, res *Result) error {
+func runSweeping(ctx context.Context, inst game.Instance, opt Spec, shared bool, res *Result) error {
 	n := inst.Graph().N()
 	rc, hasRC := inst.(game.RowCachedScanner)
-	useRC := opt.Batched && hasRC
+	useRC := shared && hasRC
 	var ctxErr error
 	_, sweeps, converged := game.RoundRobin(n, opt.MaxMoves, func(v int) bool {
 		if ctxErr != nil {
@@ -404,11 +402,11 @@ func runSweeping(ctx context.Context, inst game.Instance, opt Spec, res *Result)
 	return nil
 }
 
-func runRandom(ctx context.Context, inst game.Instance, opt Spec, res *Result) error {
+func runRandom(ctx context.Context, inst game.Instance, opt Spec, shared bool, res *Result) error {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	n := inst.Graph().N()
 	pb, hasPB := inst.(game.MoveBelowPricer)
-	usePB := opt.Batched && hasPB
+	usePB := shared && hasPB
 	patience := opt.PatienceFactor * inst.Graph().M()
 	if patience < 50 {
 		patience = 50
@@ -435,14 +433,14 @@ func runRandom(ctx context.Context, inst game.Instance, opt Spec, res *Result) e
 		}
 		if failStreak >= patience {
 			// Certification sweep: exhaustively search for any improving
-			// move; none ⇒ certified equilibrium of the model. The batched
-			// pass returns the identical witness, so the trajectory does
-			// not depend on the option.
+			// move; none ⇒ certified equilibrium of the model. The
+			// shared-row pass returns the identical witness, so the
+			// trajectory does not depend on the path.
 			res.Sweeps++
 			var m core.Move
 			var old, newCost int64
 			var found bool
-			if opt.Batched {
+			if shared {
 				m, old, newCost, found = game.FindImprovementBatched(inst, opt.Objective)
 			} else {
 				m, old, newCost, found = inst.FindImprovement(opt.Objective)

@@ -2,21 +2,21 @@ package game
 
 import (
 	"context"
-	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/pricing"
 	"repro/internal/scan"
 )
 
-// This file implements the batched cross-agent certification sweep: a
-// whole-graph pass that reuses candidate-endpoint BFS rows across
-// deviators instead of recomputing them per agent.
+// This file implements the shared-row certification sweep: a whole-graph
+// pass that reuses candidate-endpoint BFS rows across deviators instead of
+// recomputing them per agent. It is the path every check and trajectory
+// takes for the models that have it, whenever the graph's rows fit in
+// pricing.RowCacheMaxBytes (UsesSharedRows).
 //
 // The per-agent sweep pays one BFS of G−v per candidate endpoint per
 // deviator — Θ(n) BFS per agent, Θ(n²) for a full certification. The
-// batched pass instead computes every full-graph row d_G(w,·) once (n BFS,
+// shared-row pass instead reads full-graph rows d_G(w,·) (at most n BFS,
 // n² int32 of memory — the memory-for-time trade) and observes that
 // d_G(w,x) ≤ d_{G−v}(w,x) pointwise, so the patched cost
 //
@@ -30,57 +30,16 @@ import (
 // sweeps live in — almost nothing is flagged, and a full pass costs
 // n + 2m + #verified BFS instead of n². The enumeration order, admission
 // threshold, and exactness of every returned witness are unchanged, so the
-// batched sweep returns bit-identically the same verdict and (lowest-agent,
-// enumeration-first) witness as the per-agent FindImprovement.
+// shared-row sweep returns bit-identically the same verdict and
+// (lowest-agent, enumeration-first) witness as the per-agent
+// FindImprovement.
 //
-// Session-backed sweeps go one step further: the shared rows live in the
-// session's pricing.RowCache, which invalidates only the rows an applied
-// move can change, so consecutive sweeps of a trajectory (the random-
-// improving certification loop) pay #invalidated BFS instead of n per
-// sweep. One-shot checks (CheckSwapBatchedCtx) keep per-call fresh rows.
-
-// rowLookup resolves a candidate endpoint to its full-graph BFS row
-// d_G(w,·) — a slice of a fresh per-call arena (batchRows) or of the
-// session's generation-checked RowCache view.
-type rowLookup func(w int) []int32
-
-// batchRows computes the full-graph BFS row d_G(w,·) for every vertex into
-// one n² arena, sharded across workers. need filters endpoints whose row
-// no deviator will ever read (nil computes all): the budget model skips
-// every over-budget endpoint deviator-independently, so their rows stay
-// nil. ctx (nil tolerated) is polled between rows — each row is one
-// bounded BFS, so a deadline expiring mid-construction aborts within one
-// BFS plus chunk drain instead of overshooting by up to n BFS — and its
-// error is returned with nil rows.
-func batchRows(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, workers int, need func(w int) bool) ([][]int32, error) {
-	n := view.N()
-	rows := make([][]int32, n)
-	arena := make([]int32, n*n)
-	var stop atomic.Bool
-	par.ForChunked(workers, n, func(lo, hi int) {
-		_, queue, release := eng.Scratch(n)
-		defer release()
-		for w := lo; w < hi; w++ {
-			if stop.Load() {
-				return
-			}
-			if ctx != nil && ctx.Err() != nil {
-				stop.Store(true)
-				return
-			}
-			if need != nil && !need(w) {
-				continue
-			}
-			row := arena[w*n : (w+1)*n : (w+1)*n]
-			view.BFSInto(w, row, queue)
-			rows[w] = row
-		}
-	})
-	if stop.Load() {
-		return nil, ctx.Err()
-	}
-	return rows, nil
-}
+// The shared rows live in the session's pricing.RowCache, which computes
+// each row on its first read and invalidates only the rows an applied move
+// can change. A check that exits at an early agent therefore pays only for
+// the rows that agent's scan read, and consecutive sweeps of a trajectory
+// (the random-improving certification loop) pay #invalidated BFS instead
+// of n per sweep.
 
 // scanAddMajorBatched is scanAddMajor with the shared-row filter in
 // front: each candidate is first priced against the endpoint's full-graph
@@ -99,7 +58,7 @@ func batchRows(ctx context.Context, eng *pricing.Engine, view pricing.Snapshot, 
 // (an admitted winner is identical; no candidate below cur is identical
 // to a best move that fails the strict-improvement check).
 func scanAddMajorBatched(eng *pricing.Engine, view pricing.Snapshot, ps *pricing.Scan,
-	workers int, rows rowLookup, skipAdd func(add int) bool,
+	workers int, rows pricing.RowView, skipAdd func(add int) bool,
 	price func(dropIdx int, dw []int32, threshold int64) (int64, bool),
 	cur int64, firstOnly bool, order scan.Order) (scan.Cand, bool) {
 	v := ps.V()
@@ -118,7 +77,7 @@ func scanAddMajorBatched(eng *pricing.Engine, view pricing.Snapshot, ps *pricing
 		Cancel: ps.CancelHook(),
 	}
 	pricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		shared := rows(add)
+		shared := rows.Row(add)
 		exact := false
 		for i := range drops {
 			if _, maybe := price(i, shared, threshold()); !maybe {
@@ -164,46 +123,59 @@ func FindImprovementBatched(inst Instance, obj Objective) (Move, int64, int64, b
 	return inst.FindImprovement(obj)
 }
 
-// sweepRows resolves the shared d_G rows for one session-backed sweep:
-// through the session's RowCache when reuse is set (only invalidated rows
-// are recomputed; the view panics if read across a mutation), or as
-// per-call fresh rows otherwise (the pre-cache behavior, kept for the
-// reuse-ablation benchmarks and differential tests).
-func sweepRows(eng *pricing.Engine, ps *pricing.Session, workers int, reuse bool, needRow func(add int) bool) rowLookup {
-	if reuse {
-		return ps.RowCache().Sync(workers, needRow).Row
+// sharedVertex configures one agent's shared-row scan for a swap-move
+// session model: the agent's current cost, its endpoint filter, and its
+// thresholded price reduction over the scan's dropped-edge rows. The
+// three swap-move models differ only here.
+type sharedVertex func(v int, sc *pricing.Scan) (cur int64, skipAdd func(add int) bool,
+	price func(dropIdx int, dw []int32, threshold int64) (int64, bool))
+
+// scanShared runs agent v's candidate scan with the shared-row filter in
+// front — the first improving candidate in enumeration order (firstOnly)
+// or the minimum under order strictly below the current cost — and
+// returns the move with the agent's current and new cost.
+func scanShared(eng *pricing.Engine, ps *pricing.Session, workers, v int, vertex sharedVertex,
+	firstOnly bool, order scan.Order) (Move, int64, int64, bool) {
+	sc := ps.NewScan(v)
+	defer sc.Close()
+	cur, skipAdd, price := vertex(v, sc)
+	cand, found := scanAddMajorBatched(eng, ps.View(), sc, workers, ps.RowCache().View(),
+		skipAdd, price, cur, firstOnly, order)
+	if !found {
+		return Move{}, cur, cur, false
 	}
-	rows, _ := batchRows(nil, eng, ps.View(), workers, needRow)
-	return func(w int) []int32 { return rows[w] }
+	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
 }
 
-// batchedFindImprovement is the one batched certification sweep the
-// swap-move session models share: shared rows once (restricted to
-// endpoints some deviator can use), then agents ascending, each agent's
-// filtered first-improving scan configured by the model through vertex —
-// which returns the agent's current cost, its endpoint filter, and its
-// thresholded price reduction over the scan's dropped-edge rows.
-func batchedFindImprovement(eng *pricing.Engine, ps *pricing.Session, workers int,
-	reuse bool, needRow func(add int) bool,
-	vertex func(v int, sc *pricing.Scan) (cur int64, skipAdd func(add int) bool,
-		price func(dropIdx int, dw []int32, threshold int64) (int64, bool)),
-) (Move, int64, int64, bool) {
-	view := ps.View()
-	rows := sweepRows(eng, ps, workers, reuse, needRow)
-	n := ps.N()
-	for v := 0; v < n; v++ {
-		sc := ps.NewScan(v)
-		cur, skipAdd, price := vertex(v, sc)
-		cand, ok := scanAddMajorBatched(eng, view, sc, workers, rows, skipAdd, price, cur,
-			true, scan.ByEnumeration)
-		if ok {
-			m := Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}
-			sc.Close()
-			return m, cur, cand.Cost, true
+// batchedFindImprovement is the one shared-row certification sweep the
+// swap-move session models share: agents ascending, each agent's
+// first-improving shared-row scan. The session's cancel hook, when
+// installed, is also polled between agents; a cancelled sweep's result is
+// unspecified.
+func batchedFindImprovement(eng *pricing.Engine, ps *pricing.Session, workers int, vertex sharedVertex) (Move, int64, int64, bool) {
+	cancel := ps.CancelHook()
+	for v := 0; v < ps.N(); v++ {
+		if cancel != nil && cancel() {
+			break
 		}
-		sc.Close()
+		if m, cur, c, ok := scanShared(eng, ps, workers, v, vertex, true, scan.ByEnumeration); ok {
+			return m, cur, c, true
+		}
 	}
 	return Move{}, 0, 0, false
+}
+
+// sharedVertex prices the basic swap under obj.
+func (s *SwapSession) sharedVertex(obj Objective) sharedVertex {
+	po := pobj(obj)
+	view := s.ps.View()
+	return func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
+		return sc.CurrentUsage(po),
+			func(add int) bool { return view.HasEdge(v, add) },
+			func(i int, dw []int32, threshold int64) (int64, bool) {
+				return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
+			}
+	}
 }
 
 // FindImprovementBatched is the swap model's batched certification sweep:
@@ -211,69 +183,53 @@ func batchedFindImprovement(eng *pricing.Engine, ps *pricing.Session, workers in
 // shared full-graph rows, which persist in the session's RowCache across
 // sweeps. It returns exactly FindImprovement's result.
 func (s *SwapSession) FindImprovementBatched(obj Objective) (Move, int64, int64, bool) {
-	return s.findImprovementBatched(obj, true)
+	return batchedFindImprovement(s.eng, s.ps, s.workers, s.sharedVertex(obj))
 }
 
-func (s *SwapSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
+// sharedVertex restricts the swap's cost and price reduction to v's
+// interest set.
+func (s *interestsSession) sharedVertex(obj Objective) sharedVertex {
 	po := pobj(obj)
 	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, nil,
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
-			return sc.CurrentUsage(po),
-				func(add int) bool { return view.HasEdge(v, add) },
-				func(i int, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-				}
-		})
+	return func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
+		set := s.model.set(v)
+		return pricing.UsageSubset(sc.CurrentRow(), set, po),
+			func(add int) bool { return view.HasEdge(v, add) },
+			func(i int, dw []int32, threshold int64) (int64, bool) {
+				return pricing.PatchedSubsetBelow(sc.DropRow(i), dw, set, po, threshold)
+			}
+	}
 }
 
 // FindImprovementBatched is the interests model's batched certification
 // sweep; the interest-restricted reductions run against the shared rows
 // first, exact rows only for flagged candidates.
 func (s *interestsSession) FindImprovementBatched(obj Objective) (Move, int64, int64, bool) {
-	return s.findImprovementBatched(obj, true)
+	return batchedFindImprovement(s.eng, s.ps, s.workers, s.sharedVertex(obj))
 }
 
-func (s *interestsSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
+// sharedVertex skips over-budget endpoints, which are infeasible for
+// every deviator, before their shared row is ever read — and therefore
+// before it is ever computed. The RowCache keeps rows of endpoints that
+// drift in and out of budget: a row cached while feasible stays valid
+// (invalidation tracks distance changes, not feasibility) and is simply
+// not read while the endpoint is over budget.
+func (s *budgetSession) sharedVertex(obj Objective) sharedVertex {
 	po := pobj(obj)
 	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse, nil,
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
-			set := s.model.set(v)
-			return pricing.UsageSubset(sc.CurrentRow(), set, po),
-				func(add int) bool { return view.HasEdge(v, add) },
-				func(i int, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedSubsetBelow(sc.DropRow(i), dw, set, po, threshold)
-				}
-		})
+	return func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
+		return sc.CurrentUsage(po),
+			func(add int) bool { return view.HasEdge(v, add) || view.Degree(add) >= s.k },
+			func(i int, dw []int32, threshold int64) (int64, bool) {
+				return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
+			}
+	}
 }
 
 // FindImprovementBatched is the budget model's batched certification
-// sweep. Over-budget endpoints are infeasible for every deviator (an add
-// onto an existing neighbor is skipped regardless), so their shared rows
-// are never computed at all; the per-agent filter then only adds the
-// adjacency half. The RowCache keeps rows of endpoints that drift in and
-// out of budget: a row cached while feasible stays valid (invalidation
-// tracks distance changes, not feasibility) and is simply not read while
-// the endpoint is over budget.
+// sweep.
 func (s *budgetSession) FindImprovementBatched(obj Objective) (Move, int64, int64, bool) {
-	return s.findImprovementBatched(obj, true)
-}
-
-func (s *budgetSession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	return batchedFindImprovement(s.eng, s.ps, s.workers, reuse,
-		func(add int) bool { return view.Degree(add) < s.k },
-		func(v int, sc *pricing.Scan) (int64, func(int) bool, func(int, []int32, int64) (int64, bool)) {
-			return sc.CurrentUsage(po),
-				func(add int) bool {
-					return view.HasEdge(v, add) || view.Degree(add) >= s.k
-				},
-				func(i int, dw []int32, threshold int64) (int64, bool) {
-					return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-				}
-		})
+	return batchedFindImprovement(s.eng, s.ps, s.workers, s.sharedVertex(obj))
 }
 
 // FindImprovementBatched is the greedy model's batched certification
@@ -286,13 +242,13 @@ func (s *budgetSession) findImprovementBatched(obj Objective, reuse bool) (Move,
 // only the swap stage keeps the filter-then-verify shape of the swap
 // model. Results are bit-identical to FindImprovement.
 func (s *greedySession) FindImprovementBatched(obj Objective) (Move, int64, int64, bool) {
-	return s.findImprovementBatched(obj, true)
-}
-
-func (s *greedySession) findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool) {
-	rows := sweepRows(s.eng, s.ps, s.workers, reuse, nil)
+	rows := s.ps.RowCache().View()
+	cancel := s.ps.CancelHook()
 	n := s.ps.N()
 	for v := 0; v < n; v++ {
+		if cancel != nil && cancel() {
+			break
+		}
 		if m, cur, newCost, ok := s.scanMovesBatched(v, obj, rows, true); ok {
 			return m, cur, newCost, true
 		}
@@ -304,7 +260,7 @@ func (s *greedySession) findImprovementBatched(obj Objective, reuse bool) (Move,
 // three stages in the same enumeration order with the same
 // running-threshold handoff and the same firstOnly semantics, so the
 // returned move is bit-identical for any worker count.
-func (s *greedySession) scanMovesBatched(v int, obj Objective, rows rowLookup, firstOnly bool) (best Move, oldCost, newCost int64, ok bool) {
+func (s *greedySession) scanMovesBatched(v int, obj Objective, rows pricing.RowView, firstOnly bool) (best Move, oldCost, newCost int64, ok bool) {
 	po := pobj(obj)
 	view := s.ps.View()
 	n := view.N()
@@ -342,7 +298,7 @@ func (s *greedySession) scanMovesBatched(v int, obj Objective, rows rowLookup, f
 	// prices exactly from the cache with no BFS and no verification pass.
 	addOffset := s.edgeCost * (deg + 1)
 	addPricer := func(_ bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		if c, below := pricing.PatchedBelow(psc.CurrentRow(), rows(add), po, threshold()-addOffset); below {
+		if c, below := pricing.PatchedBelow(psc.CurrentRow(), rows.Row(add), po, threshold()-addOffset); below {
 			yield(0, addOffset+c)
 		}
 	}
@@ -367,7 +323,7 @@ func (s *greedySession) scanMovesBatched(v int, obj Objective, rows rowLookup, f
 	swapOffset := s.edgeCost * deg
 	drops := psc.Drops()
 	swapPricer := func(ws bfsRow, add int, threshold func() int64, yield func(int, int64) bool) {
-		shared := rows(add)
+		shared := rows.Row(add)
 		exact := false
 		for i := range drops {
 			if _, maybe := pricing.PatchedBelow(psc.DropRow(i), shared, po, threshold()-swapOffset); !maybe {
@@ -390,20 +346,21 @@ func (s *greedySession) scanMovesBatched(v int, obj Objective, rows rowLookup, f
 	return best, cur, bestCost, ok
 }
 
-// CheckSwapBatched is CheckSwap computed via the batched cross-agent pass:
-// same verdict, same deterministic witness (deletion-criticality checks
-// still run per agent from the scan's dropped-edge rows; only the
-// candidate-endpoint BFS reuse changes). One frozen snapshot, n shared
-// rows in one arena, exact verification for flagged candidates only.
+// CheckSwapBatched is CheckSwap computed via the shared-row pass: same
+// verdict, same deterministic witness (deletion-criticality checks still
+// run per agent from the scan's dropped-edge rows; only the
+// candidate-endpoint BFS reuse changes). One pricing session, whose
+// RowCache computes each shared row on first read, and exact verification
+// for flagged candidates only.
 func CheckSwapBatched(g *graph.Graph, obj Objective, workers int, deletionCritical bool) (bool, *Violation, error) {
 	return CheckSwapBatchedCtx(nil, g, obj, workers, deletionCritical)
 }
 
 // CheckSwapBatchedCtx is CheckSwapBatched with cooperative cancellation:
-// ctx (nil tolerated) is polled between the shared-row BFS passes during
-// construction and between per-agent scans afterwards, and its error is
-// returned on expiry. Verdict and witness are bit-identical to
-// CheckSwapBatched.
+// ctx (nil tolerated) is polled between candidate endpoints inside each
+// agent's scan — so an expiry aborts within one row or verification BFS —
+// and between agents, and its error is returned on expiry. Verdict and
+// witness are bit-identical to CheckSwapBatched.
 func CheckSwapBatchedCtx(ctx context.Context, g *graph.Graph, obj Objective, workers int, deletionCritical bool) (bool, *Violation, error) {
 	n := g.N()
 	if n <= 1 {
@@ -412,44 +369,41 @@ func CheckSwapBatchedCtx(ctx context.Context, g *graph.Graph, obj Objective, wor
 	if !g.IsConnected() {
 		return false, nil, ErrDisconnected
 	}
-	workers = normWorkers(workers)
-	eng := pricing.Shared(workers)
-	f := g.Freeze()
-	rows, err := batchRows(ctx, eng, f, workers, nil)
-	if err != nil {
-		return false, nil, err
-	}
-	po := pobj(obj)
+	s := NewSwapSession(g, workers)
+	defer s.Close()
+	hook, release := cancelHook(ctx)
+	defer release()
+	s.ps.SetCancel(hook)
+	vertex := s.sharedVertex(obj)
+	rows := s.ps.RowCache().View()
 	for v := 0; v < n; v++ {
 		if err := pollCtx(ctx); err != nil {
 			return false, nil, err
 		}
-		sc := eng.NewScan(f, v)
-		cur := sc.CurrentUsage(po)
+		sc := s.ps.NewScan(v)
+		cur, skipAdd, price := vertex(v, sc)
 		if obj == Max && deletionCritical {
 			if viol := deletionViolation(sc, v, cur); viol != nil {
 				sc.Close()
 				return false, viol, nil
 			}
 		}
-		cand, ok := scanAddMajorBatched(eng, f, sc, workers, func(w int) []int32 { return rows[w] },
-			func(add int) bool { return f.HasEdge(v, add) },
-			func(i int, dw []int32, threshold int64) (int64, bool) {
-				return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-			},
-			cur, true, scan.ByEnumeration)
+		cand, ok := scanAddMajorBatched(s.eng, s.ps.View(), sc, s.workers, rows, skipAdd, price, cur,
+			true, scan.ByEnumeration)
+		drops := sc.Drops()
+		sc.Close()
+		if err := pollCtx(ctx); err != nil {
+			return false, nil, err
+		}
 		if ok {
-			viol := &Violation{
+			return false, &Violation{
 				Kind:    SwapImproves,
-				Move:    Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add},
+				Move:    Move{V: v, Drop: int(drops[cand.DropIdx]), Add: cand.Add},
 				Agent:   v,
 				OldCost: cur,
 				NewCost: cand.Cost,
-			}
-			sc.Close()
-			return false, viol, nil
+			}, nil
 		}
-		sc.Close()
 	}
 	return true, nil, nil
 }

@@ -25,36 +25,30 @@ func internalFuzzGraph(n int, seed int64) *graph.Graph {
 	return g
 }
 
-// batchedReuseSweeper is the in-package seam the cache-vs-fresh
-// differential and the row-reuse ablation benchmarks drive: the same
-// batched sweep with the shared rows either read through the session's
-// RowCache or rebuilt fresh per call.
-type batchedReuseSweeper interface {
-	Instance
-	findImprovementBatched(obj Objective, reuse bool) (Move, int64, int64, bool)
-}
-
 // TestBatchedSweepCacheMatchesFresh pins the RowCache's end-to-end
-// contract: a full batched sweep whose shared rows come from the
-// invalidation-maintained cache is bit-identical to the same sweep over
-// rows rebuilt fresh — across a trajectory of applied moves, so the
-// cache's selective invalidation (not a full rebuild) is what keeps the
-// rows honest.
+// contract: a full batched sweep whose shared rows come from a long-lived,
+// invalidation-maintained cache is bit-identical to the same sweep on a
+// fresh instance of the current position (every row computed anew) —
+// across a trajectory of applied moves, so the cache's selective
+// invalidation (not a full rebuild) is what keeps the rows honest.
 func TestBatchedSweepCacheMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		g := internalFuzzGraph(24, seed)
 		rng := rand.New(rand.NewSource(seed * 31))
-		insts := map[string]batchedReuseSweeper{
-			"swap":      Swap{}.New(g.Clone(), 2).(*SwapSession),
-			"greedy":    Greedy{EdgeCost: 2}.New(g.Clone(), 2).(*greedySession),
-			"budget":    Budget{K: 3}.New(g.Clone(), 2).(*budgetSession),
-			"interests": RandomInterests(g.N(), 0.5, rng).New(g.Clone(), 2).(*interestsSession),
+		models := map[string]Model{
+			"swap":      Swap{},
+			"greedy":    Greedy{EdgeCost: 2},
+			"budget":    Budget{K: 3},
+			"interests": RandomInterests(g.N(), 0.5, rng),
 		}
-		for name, inst := range insts {
+		for name, model := range models {
 			for _, obj := range []Objective{Sum, Max} {
+				inst := model.New(g.Clone(), 2)
 				for step := 0; step < 6; step++ {
-					fm, fo, fn, fok := inst.findImprovementBatched(obj, false)
-					cm, co, cn, cok := inst.findImprovementBatched(obj, true)
+					fresh := model.New(inst.Graph().Clone(), 2)
+					fm, fo, fn, fok := FindImprovementBatched(fresh, obj)
+					CloseInstance(fresh)
+					cm, co, cn, cok := FindImprovementBatched(inst, obj)
 					if fok != cok || (fok && (fm != cm || fo != co || fn != cn)) {
 						t.Fatalf("seed %d %s/%v step %d: fresh (%v,%d,%d,%v), cached (%v,%d,%d,%v)",
 							seed, name, obj, step, fm, fo, fn, fok, cm, co, cn, cok)
@@ -64,6 +58,7 @@ func TestBatchedSweepCacheMatchesFresh(t *testing.T) {
 					}
 					inst.Apply(fm)
 				}
+				CloseInstance(inst)
 			}
 		}
 	}
@@ -102,21 +97,62 @@ func TestBatchedSweepRowReusePersists(t *testing.T) {
 	}
 }
 
+// torusGrid is the rows×cols grid with wraparound.
+func torusGrid(rows, cols int) *graph.Graph {
+	g := graph.New(rows * cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			g.AddEdge(r*cols+c, ((r+1)%rows)*cols+c)
+			g.AddEdge(r*cols+c, r*cols+(c+1)%cols)
+		}
+	}
+	return g
+}
+
+// TestSharedRowsFilledOnRead pins the lazy fill's work count at one
+// worker: a sweep that exits at its first violation computes only the
+// rows its scans read — far fewer than n — while a sweep that certifies
+// an equilibrium reads, and so computes, every row exactly once.
+func TestSharedRowsFilledOnRead(t *testing.T) {
+	g := torusGrid(10, 10)
+	n := g.N()
+	early := Budget{K: 5}.New(g.Clone(), 1)
+	defer CloseInstance(early)
+	if _, _, _, ok := FindImprovementBatched(early, Sum); !ok {
+		t.Fatal("budget k=5 on the 10×10 torus must have an improving move under sum")
+	}
+	st, _ := InstanceRowCacheStats(early)
+	if st.Recomputed >= uint64(n) {
+		t.Fatalf("early-exit sweep computed %d shared rows, want fewer than n=%d", st.Recomputed, n)
+	}
+	if st.Recomputed == 0 {
+		t.Fatal("early-exit sweep computed no shared rows at all")
+	}
+
+	eq := Swap{}.New(constructions.NewTorus(8).Graph(), 1) // max-stable
+	defer CloseInstance(eq)
+	if _, _, _, ok := FindImprovementBatched(eq, Max); ok {
+		t.Fatal("torus must be max-stable")
+	}
+	st, _ = InstanceRowCacheStats(eq)
+	if want := uint64(eq.Graph().N()); st.Recomputed != want {
+		t.Fatalf("equilibrium sweep computed %d shared rows, want exactly n=%d", st.Recomputed, want)
+	}
+}
+
 // benchCertifySweeps times the random-improving certification cadence:
-// the trajectory is first driven to equilibrium (outside the timer, with
-// the same reuse setting so both variants arrive at bit-identical state —
-// TestBatchedSweepCacheMatchesFresh), then every timed iteration is one
-// full certification sweep of the converged position, exactly what
-// repeated service rechecks and post-patience certifications pay. With
-// reuse the shared rows persist in the RowCache (zero row BFS per sweep);
-// without it every sweep rebuilds all n rows (the pre-cache behavior).
-func benchCertifySweeps(b *testing.B, mk func() *graph.Graph, obj Objective, reuse bool) {
+// the trajectory is first driven to equilibrium (outside the timer), then
+// every timed iteration is one full certification sweep of the converged
+// position, exactly what repeated service rechecks and post-patience
+// certifications pay. The shared rows persist in the RowCache, so a sweep
+// of an unchanged position computes no rows at all.
+func benchCertifySweeps(b *testing.B, mk func() *graph.Graph, obj Objective) {
 	inst := Swap{}.New(mk(), 1).(*SwapSession)
 	for moves := 0; ; moves++ {
 		if moves > 10_000 {
 			b.Fatal("trajectory did not converge")
 		}
-		m, _, _, ok := inst.findImprovementBatched(obj, reuse)
+		m, _, _, ok := inst.FindImprovementBatched(obj)
 		if !ok {
 			break
 		}
@@ -125,60 +161,16 @@ func benchCertifySweeps(b *testing.B, mk func() *graph.Graph, obj Objective, reu
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, ok := inst.findImprovementBatched(obj, reuse); ok {
+		if _, _, _, ok := inst.FindImprovementBatched(obj); ok {
 			b.Fatal("equilibrium regressed")
 		}
 	}
 }
 
 func BenchmarkCertifySweepsRowReusePath128(b *testing.B) {
-	benchCertifySweeps(b, func() *graph.Graph { return constructions.Path(128) }, Sum, true)
-}
-
-func BenchmarkCertifySweepsFreshRowsPath128(b *testing.B) {
-	benchCertifySweeps(b, func() *graph.Graph { return constructions.Path(128) }, Sum, false)
+	benchCertifySweeps(b, func() *graph.Graph { return constructions.Path(128) }, Sum)
 }
 
 func BenchmarkCertifySweepsRowReuseTorus256(b *testing.B) {
-	benchCertifySweeps(b, func() *graph.Graph { return constructions.NewTorus(8).Graph() }, Max, true)
-}
-
-func BenchmarkCertifySweepsFreshRowsTorus256(b *testing.B) {
-	benchCertifySweeps(b, func() *graph.Graph { return constructions.NewTorus(8).Graph() }, Max, false)
-}
-
-// benchSweepRows isolates the row-provisioning step the cache replaces:
-// per iteration, provision the full shared-row set for one certification
-// sweep — through the RowCache (recomputes only what the last mutation
-// invalidated; nothing, here, at a fixed position) or as a per-sweep
-// batchRows rebuild (n BFS plus an n² arena every time). This is the
-// mechanism the end-to-end sweep benches dilute with scan-pricing cost.
-func benchSweepRows(b *testing.B, g *graph.Graph, reuse bool) {
-	s := Swap{}.New(g, 1).(*SwapSession)
-	n := g.N()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := sweepRows(s.eng, s.ps, 1, reuse, nil)
-		if rows(0)[0] != 0 {
-			b.Fatal("bad row")
-		}
-		_ = n
-	}
-}
-
-func BenchmarkSweepRowsReusePath128(b *testing.B) {
-	benchSweepRows(b, constructions.Path(128), true)
-}
-
-func BenchmarkSweepRowsFreshPath128(b *testing.B) {
-	benchSweepRows(b, constructions.Path(128), false)
-}
-
-func BenchmarkSweepRowsReuseTorus256(b *testing.B) {
-	benchSweepRows(b, constructions.NewTorus(8).Graph(), true)
-}
-
-func BenchmarkSweepRowsFreshTorus256(b *testing.B) {
-	benchSweepRows(b, constructions.NewTorus(8).Graph(), false)
+	benchCertifySweeps(b, func() *graph.Graph { return constructions.NewTorus(8).Graph() }, Max)
 }

@@ -161,3 +161,52 @@ func TestBatchedSweepAllocDelta(t *testing.T) {
 			delta, seq, batched, 2*n+32)
 	}
 }
+
+// TestSharedRowsConcurrentFill drives the row cache's fill-on-first-read
+// from sharded scans: at workers {2, 4} each scan's chunks fill the rows
+// of their own endpoints concurrently and without a lock, and every
+// applied move folds them into the live index before invalidating. Along
+// a trajectory mixing row-cached best-move and first-improving scans with
+// whole shared-row sweeps, every result must equal the per-agent twin's.
+// Run under -race in CI.
+func TestSharedRowsConcurrentFill(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		rng := rand.New(rand.NewSource(int64(17 * workers)))
+		base := randomConnected(rng, 40, 12)
+		for _, model := range batchedModels(base.N(), rng) {
+			for _, obj := range []game.Objective{game.Sum, game.Max} {
+				shared := model.New(base.Clone(), workers)
+				ref := model.New(base.Clone(), workers)
+				rc := shared.(game.RowCachedScanner)
+				label := model.Name() + "/" + obj.String()
+				for step := 0; step < 12; step++ {
+					v := rng.Intn(base.N())
+					var sm, rm game.Move
+					var sok, rok bool
+					var so, sn, ro, rn int64
+					switch step % 3 {
+					case 0:
+						sm, so, sn, sok = rc.BestMoveRowCached(v, obj)
+						rm, ro, rn, rok = ref.BestMove(v, obj)
+					case 1:
+						sm, so, sn, sok = rc.FirstImprovingRowCached(v, obj)
+						rm, ro, rn, rok = ref.FirstImproving(v, obj)
+					default:
+						sm, so, sn, sok = game.FindImprovementBatched(shared, obj)
+						rm, ro, rn, rok = ref.FindImprovement(obj)
+					}
+					if sok != rok || (sok && (sm != rm || so != ro || sn != rn)) {
+						t.Fatalf("workers %d %s step %d: shared (%v,%d,%d,%v), per-agent (%v,%d,%d,%v)",
+							workers, label, step, sm, so, sn, sok, rm, ro, rn, rok)
+					}
+					if sok {
+						shared.Apply(sm)
+						ref.Apply(rm)
+					}
+				}
+				game.CloseInstance(shared)
+				game.CloseInstance(ref)
+			}
+		}
+	}
+}

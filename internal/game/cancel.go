@@ -2,10 +2,11 @@ package game
 
 // ScanCanceller is the optional capability of session instances whose
 // per-agent candidate scans poll a cooperative cancel hook between pricing
-// units (one poll per candidate-endpoint BFS, the granularity batchRows
-// polls at). Installing a hook makes a long single-agent scan — the
-// /v1/bestresponse hot path, where one vertex's scan is Θ(n) BFS —
-// abortable mid-scan instead of being one uncancellable pricing unit.
+// units (one poll per candidate endpoint, which costs at most one
+// shared-row fill plus one verification BFS). Installing a hook makes a
+// long single-agent scan — the /v1/bestresponse hot path, where one
+// vertex's scan is Θ(n) BFS — abortable mid-scan instead of being one
+// uncancellable pricing unit.
 //
 // A cancelled scan's result is unspecified (partial or absent); the
 // installer must check its own cancellation source after the scan and

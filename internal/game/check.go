@@ -2,8 +2,10 @@ package game
 
 import (
 	"context"
+	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/pricing"
 )
 
 // This file is the context-aware face of the certification machinery: the
@@ -26,6 +28,19 @@ func pollCtx(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// cancelHook adapts ctx to a scan cancel hook (pricing.Session.SetCancel):
+// an atomic flag that context.AfterFunc raises on expiry, so the
+// per-endpoint poll costs one atomic load. Contexts that can never be
+// cancelled (nil, Background) yield a nil hook. release stops the watcher.
+func cancelHook(ctx context.Context) (hook func() bool, release func()) {
+	if ctx == nil || ctx.Done() == nil {
+		return nil, func() {}
+	}
+	var stop atomic.Bool
+	unwatch := context.AfterFunc(ctx, func() { stop.Store(true) })
+	return stop.Load, func() { unwatch() }
+}
+
 // CheckSwapCtx is CheckSwap with cooperative cancellation: ctx is polled
 // between per-agent scans and its error returned on expiry. Verdict and
 // witness are bit-identical to CheckSwap for any worker count.
@@ -44,12 +59,20 @@ func CheckSwapCtx(ctx context.Context, g *graph.Graph, obj Objective, workers in
 	return found == nil, found, nil
 }
 
-// HasBatchedSweep reports whether the instance ships a batched cross-agent
-// certification pass (BatchedSweeper). Callers use it to report whether a
-// Batched request will actually batch or silently run per agent.
+// HasBatchedSweep reports whether the instance ships a shared-row
+// certification pass (BatchedSweeper).
 func HasBatchedSweep(inst Instance) bool {
 	_, ok := inst.(BatchedSweeper)
 	return ok
+}
+
+// UsesSharedRows reports whether checks and trajectories on inst take the
+// shared-row path: the instance has a shared-row pass and its graph's row
+// arenas fit in pricing.RowCacheMaxBytes. Otherwise they run the
+// per-agent scans, which are also the reference the shared-row path is
+// pinned against.
+func UsesSharedRows(inst Instance) bool {
+	return HasBatchedSweep(inst) && pricing.RowCacheFits(inst.Graph().N())
 }
 
 // FindImprovementCtx is the shared certification sweep (agents ascending,
@@ -74,9 +97,9 @@ func FindImprovementCtx(ctx context.Context, inst Instance, obj Objective) (m Mo
 // certification sweep (greedy, interests, budget, 2-neighborhood — the
 // swap model's one-shot checks go through CheckSwapCtx instead, which adds
 // the connectivity gate and deletion-criticality side condition). With
-// batched set the sweep routes through the instance's batched cross-agent
-// pass when it has one (bit-identical results; cancellation granularity is
-// then the whole pass rather than one agent) and falls back to the
+// batched set the sweep routes through the instance's shared-row pass when
+// it has one (bit-identical results; ctx is then polled between candidate
+// endpoints through the instance's scan cancel hook) and falls back to the
 // per-agent ctx sweep otherwise.
 func CheckStableCtx(ctx context.Context, inst Instance, obj Objective, batched bool) (bool, *Violation, error) {
 	var (
@@ -88,7 +111,15 @@ func CheckStableCtx(ctx context.Context, inst Instance, obj Objective, batched b
 		if err := pollCtx(ctx); err != nil {
 			return false, nil, err
 		}
+		hook, release := cancelHook(ctx)
+		defer release()
+		if hook != nil && SetScanCancel(inst, hook) {
+			defer SetScanCancel(inst, nil)
+		}
 		m, oldCost, newCost, found = b.FindImprovementBatched(obj)
+		if err := pollCtx(ctx); err != nil {
+			return false, nil, err
+		}
 	} else {
 		var err error
 		m, oldCost, newCost, found, err = FindImprovementCtx(ctx, inst, obj)

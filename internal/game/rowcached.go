@@ -52,13 +52,13 @@ func CloseInstance(inst Instance) {
 
 // RowCacheStats reports a session row cache's lifetime counters.
 type RowCacheStats struct {
-	Recomputed  uint64 // BFS row rebuilds paid at Syncs
+	Recomputed  uint64 // BFS row rebuilds, on first read or at Syncs
 	Invalidated uint64 // rows flagged by applied moves' invalidation tests
 }
 
 // InstanceRowCacheStats reads the row-cache counters of a session-backed
 // instance; ok is false for instances without an attached cache (naive
-// oracles, trajectories that never requested batching).
+// oracles, 2nb, graphs too large for the shared-row path).
 func InstanceRowCacheStats(inst Instance) (RowCacheStats, bool) {
 	type statter interface {
 		RowCacheStats() (RowCacheStats, bool)
@@ -80,42 +80,18 @@ func sessionRowCacheStats(ps *pricing.Session) (RowCacheStats, bool) {
 // Swap model.
 
 // BestMoveRowCached is BestMove priced through the session row cache.
+// Best-move mode is seeded at cur under the ByDropFirst tie-break —
+// exactly BestMove's candidate order, and a winner exists iff BestMove's
+// winner strictly improves — so the (move, costs, ok) quadruple is
+// identical.
 func (s *SwapSession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, false)
+	return scanShared(s.eng, s.ps, s.workers, v, s.sharedVertex(obj), false, scan.ByDropFirst)
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *SwapSession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, true)
-}
-
-// scanRowCached runs one agent's swap scan with the shared-row filter:
-// the batched sweep's per-vertex pass, with the best-move mode seeded at
-// cur under the ByDropFirst tie-break — exactly BestMove's candidate
-// order, and a winner exists iff BestMove's winner strictly improves, so
-// the (move, costs, ok) quadruple is identical in both modes.
-func (s *SwapSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := sc.CurrentUsage(po)
-	order := scan.ByDropFirst
-	if firstOnly {
-		order = scan.ByEnumeration
-	}
-	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
-		func(add int) bool { return view.HasEdge(v, add) },
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-		},
-		cur, firstOnly, order)
-	if !found {
-		return Move{}, cur, cur, false
-	}
-	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return scanShared(s.eng, s.ps, s.workers, v, s.sharedVertex(obj), true, scan.ByEnumeration)
 }
 
 // PriceMoveBelow is the random policy's row-cached probe: the memoized
@@ -152,14 +128,14 @@ func (s *SwapSession) RowCacheStats() (RowCacheStats, bool) { return sessionRowC
 // add stage prices exactly from the shared rows (no BFS at all), the swap
 // stage filters through them.
 func (s *greedySession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
+	rows := s.ps.RowCache().View()
 	return s.scanMovesBatched(v, obj, rows, false)
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *greedySession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
+	rows := s.ps.RowCache().View()
 	return s.scanMovesBatched(v, obj, rows, true)
 }
 
@@ -173,37 +149,16 @@ func (s *greedySession) RowCacheStats() (RowCacheStats, bool) { return sessionRo
 // Interests model.
 
 // BestMoveRowCached is BestMove priced through the session row cache.
+// Both engine modes keep scanMoves' ByEnumeration order and cur
+// threshold, so results are identical.
 func (s *interestsSession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, false)
+	return scanShared(s.eng, s.ps, s.workers, v, s.sharedVertex(obj), false, scan.ByEnumeration)
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *interestsSession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, true)
-}
-
-// scanRowCached mirrors scanMoves with the shared-row filter in front of
-// the interest-restricted reductions; both engine modes keep scanMoves'
-// ByEnumeration order and cur threshold, so results are identical.
-func (s *interestsSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	set := s.model.set(v)
-	view := s.ps.View()
-	rows := sweepRows(s.eng, s.ps, s.workers, true, nil)
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := pricing.UsageSubset(sc.CurrentRow(), set, po)
-	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
-		func(add int) bool { return view.HasEdge(v, add) },
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedSubsetBelow(sc.DropRow(i), dw, set, po, threshold)
-		},
-		cur, firstOnly, scan.ByEnumeration)
-	if !found {
-		return Move{}, cur, cur, false
-	}
-	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return scanShared(s.eng, s.ps, s.workers, v, s.sharedVertex(obj), true, scan.ByEnumeration)
 }
 
 // Close releases the session's row-cache arenas; see pricing.Session.Close.
@@ -217,38 +172,13 @@ func (s *interestsSession) RowCacheStats() (RowCacheStats, bool) { return sessio
 
 // BestMoveRowCached is BestMove priced through the session row cache.
 func (s *budgetSession) BestMoveRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, false)
+	return scanShared(s.eng, s.ps, s.workers, v, s.sharedVertex(obj), false, scan.ByEnumeration)
 }
 
 // FirstImprovingRowCached is FirstImproving priced through the session
 // row cache.
 func (s *budgetSession) FirstImprovingRowCached(v int, obj Objective) (Move, int64, int64, bool) {
-	return s.scanRowCached(v, obj, true)
-}
-
-// scanRowCached mirrors scanMoves with the shared-row filter in front;
-// over-budget endpoints are skipped before their row is ever read, so
-// rows of endpoints no agent can target are not computed by the Sync.
-func (s *budgetSession) scanRowCached(v int, obj Objective, firstOnly bool) (Move, int64, int64, bool) {
-	po := pobj(obj)
-	view := s.ps.View()
-	rows := sweepRows(s.eng, s.ps, s.workers, true,
-		func(add int) bool { return view.Degree(add) < s.k })
-	sc := s.ps.NewScan(v)
-	defer sc.Close()
-	cur := sc.CurrentUsage(po)
-	cand, found := scanAddMajorBatched(s.eng, view, sc, s.workers, rows,
-		func(add int) bool {
-			return view.HasEdge(v, add) || view.Degree(add) >= s.k
-		},
-		func(i int, dw []int32, threshold int64) (int64, bool) {
-			return pricing.PatchedBelow(sc.DropRow(i), dw, po, threshold)
-		},
-		cur, firstOnly, scan.ByEnumeration)
-	if !found {
-		return Move{}, cur, cur, false
-	}
-	return Move{V: v, Drop: int(sc.Drops()[cand.DropIdx]), Add: cand.Add}, cur, cand.Cost, true
+	return scanShared(s.eng, s.ps, s.workers, v, s.sharedVertex(obj), true, scan.ByEnumeration)
 }
 
 // Close releases the session's row-cache arenas; see pricing.Session.Close.

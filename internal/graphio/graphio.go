@@ -33,9 +33,44 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
+// MaxN is the vertex limit of the plain decoders (ReadEdgeList,
+// FromGraph6, FromSparse6, ReadInterests): the largest n the graph6 and
+// sparse6 size headers can carry. The *Max variants take a tighter one.
+const MaxN = 258047
+
+// SizeError reports a size header that declares more vertices than the
+// decoder's limit. Decoders return it before allocating anything for the
+// graph, so a short hostile header cannot make them allocate Θ(n).
+type SizeError struct {
+	N   int // vertex count the header declares
+	Max int // the decoder's limit
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("graphio: header declares n=%d, limit is %d", e.N, e.Max)
+}
+
+// checkN bounds a header's vertex count by maxN (and by MaxN).
+func checkN(n, maxN int) error {
+	if maxN > MaxN {
+		maxN = MaxN
+	}
+	if n > maxN {
+		return &SizeError{N: n, Max: maxN}
+	}
+	return nil
+}
+
 // ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
-// beginning with '#' are ignored.
+// beginning with '#' are ignored. Headers declaring more than MaxN
+// vertices are rejected with a *SizeError.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
+	return ReadEdgeListMax(r, MaxN)
+}
+
+// ReadEdgeListMax is ReadEdgeList with the vertex limit maxN: the header's
+// n is checked before the graph is allocated.
+func ReadEdgeListMax(r io.Reader, maxN int) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	var g *graph.Graph
@@ -53,6 +88,9 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		if g == nil {
 			if a < 0 || b < 0 {
 				return nil, fmt.Errorf("graphio: bad header %q", line)
+			}
+			if err := checkN(a, maxN); err != nil {
+				return nil, err
 			}
 			g = graph.New(a)
 			wantEdges = b
@@ -120,9 +158,18 @@ func ToGraph6(g *graph.Graph) (string, error) {
 // FromGraph6 decodes a graph6 string produced by ToGraph6 (or any standard
 // graph6 tool) into a graph.
 func FromGraph6(s string) (*graph.Graph, error) {
+	return FromGraph6Max(s, MaxN)
+}
+
+// FromGraph6Max is FromGraph6 with the vertex limit maxN, checked from the
+// size header before anything is allocated.
+func FromGraph6Max(s string, maxN int) (*graph.Graph, error) {
 	data := []byte(strings.TrimSpace(s))
 	n, pos, err := decodeSize(data, "graph6")
 	if err != nil {
+		return nil, err
+	}
+	if err := checkN(n, maxN); err != nil {
 		return nil, err
 	}
 	nbits := n * (n - 1) / 2
@@ -235,6 +282,9 @@ func ReadInterests(r io.Reader) ([][]int32, error) {
 			}
 			if _, err := fmt.Sscanf(fields[0], "%d", &n); err != nil || n < 0 {
 				return nil, fmt.Errorf("graphio: bad interests header %q", line)
+			}
+			if err := checkN(n, MaxN); err != nil {
+				return nil, err
 			}
 			sets = make([][]int32, n)
 			continue

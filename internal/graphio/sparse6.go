@@ -87,6 +87,12 @@ func ToSparse6(g *graph.Graph) (string, error) {
 // FromSparse6 decodes a sparse6 string produced by ToSparse6 (or standard
 // tools).
 func FromSparse6(s string) (*graph.Graph, error) {
+	return FromSparse6Max(s, MaxN)
+}
+
+// FromSparse6Max is FromSparse6 with the vertex limit maxN, checked from
+// the size header before anything is allocated.
+func FromSparse6Max(s string, maxN int) (*graph.Graph, error) {
 	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != ':' {
 		return nil, fmt.Errorf("graphio: sparse6 must start with ':'")
@@ -94,6 +100,9 @@ func FromSparse6(s string) (*graph.Graph, error) {
 	data := []byte(s[1:])
 	n, pos, err := decodeSize(data, "sparse6")
 	if err != nil {
+		return nil, err
+	}
+	if err := checkN(n, maxN); err != nil {
 		return nil, err
 	}
 	k := bitsFor(n)

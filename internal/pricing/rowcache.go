@@ -2,6 +2,7 @@ package pricing
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -13,8 +14,10 @@ import (
 // sweeps instead of rebuilt per sweep. It is maintained under the
 // session's mutations exactly as graph.Dyn patch-maintains adjacency:
 // every ApplySwap/ApplyAdd/ApplyRemove/Undo invalidates only the rows
-// whose distances the edge change actually affects, and invalid rows are
-// recomputed lazily at the next Sync. In and near equilibrium — the
+// whose distances the edge change actually affects, and an invalid row is
+// recomputed on its first read through a RowView (or eagerly, for every
+// row at once, by Sync). A check that exits early therefore pays only for
+// the rows its scans actually read. In and near equilibrium — the
 // regime certification sweeps and dynamics hot loops live in — a single
 // applied move invalidates a handful of rows, so a trajectory pays
 // #invalidated BFS per applied move instead of n.
@@ -43,11 +46,15 @@ import (
 // sound; understating can only cost a spurious recompute, never a stale
 // row.
 //
-// The memory trade is the batched sweep's: one n² int32 arena plus one n²
-// uint8 arena per session, drawn from a size-keyed pool at first use and
-// returned by Session.Close. A RowCache is not safe for concurrent
-// mutation with its session; concurrent reads between mutations (the
-// sharded sweep) are safe.
+// The memory trade is one n² int32 arena plus one n² uint8 arena per
+// session (5n² bytes, bounded by RowCacheMaxBytes), drawn from a
+// size-keyed pool at first use and returned by Session.Close. A RowCache
+// is not safe for concurrent mutation with its session. Concurrent reads
+// between mutations are safe as long as no two goroutines read the same
+// invalid row at once — the scan engine's ownership rule (within one
+// scan each candidate endpoint is priced by exactly one worker, and scans
+// are separated by the par join), which lets a first read fill its row
+// without a lock.
 type RowCache struct {
 	s      *Session
 	arena  []int32   // n² distance backing store, rows sliced out of it
@@ -62,12 +69,34 @@ type RowCache struct {
 	liveList []int32
 	livePos  []int32 // livePos[w] = index into liveList, -1 when invalid
 	todo     []int32 // scratch: rows to recompute this Sync
+	// filled lists the rows RowView reads computed since the last fold
+	// (livePos filledRow), nFilled their count. Readers claim slots with
+	// one atomic add; fold moves them into liveList before the next
+	// mutation or Sync, single-threaded. filled shares todo's backing,
+	// which Sync only reuses after folding.
+	filled  []int32
+	nFilled atomic.Int32
 	// recomputed counts BFS row rebuilds and invalidated counts rows
 	// flagged by mutations, over the cache's lifetime; the reuse tests,
 	// benchmarks, and the dynamics/serve observability surface read them.
 	recomputed  uint64
 	invalidated uint64
 }
+
+// RowCacheMaxBytes bounds the arenas of one RowCache (5n² bytes: the n²
+// int32 distances plus the n² uint8 tight-parent counts), which allows
+// n ≤ 3663. Checks and trajectories take the shared-row path only when
+// their graph fits (RowCacheFits); larger graphs run the per-agent scans,
+// which need O(n) memory per worker.
+const RowCacheMaxBytes = 64 << 20
+
+// RowCacheFits reports whether an n-vertex session's RowCache arenas fit
+// in RowCacheMaxBytes.
+func RowCacheFits(n int) bool { return 5*int64(n)*int64(n) <= RowCacheMaxBytes }
+
+// filledRow marks a livePos entry whose row a RowView read computed but
+// fold has not yet moved into liveList: valid, not yet indexed.
+const filledRow = -2
 
 // rowArenas is the poolable backing store of one RowCache: the n²
 // distance matrix, the n² tight-parent counts, and the 3n live/todo index.
@@ -109,8 +138,8 @@ func putRowArenas(n int, a *rowArenas) {
 
 // RowCache returns the session's shared-row cache, creating it (arenas
 // from the size-keyed pool) on first use. The cache is invalidation-
-// maintained by every subsequent session mutation; rows are computed
-// lazily by Sync.
+// maintained by every subsequent session mutation; rows are computed on
+// first read (View) or in bulk by Sync.
 func (s *Session) RowCache() *RowCache {
 	if s.rows == nil {
 		n := s.d.N()
@@ -127,6 +156,7 @@ func (s *Session) RowCache() *RowCache {
 			liveList: a.idx[0:0:n],
 			livePos:  a.idx[n : 2*n : 2*n],
 			todo:     a.idx[2*n : 2*n : 3*n],
+			filled:   a.idx[2*n : 3*n : 3*n],
 		}
 		for w := 0; w < n; w++ {
 			c.rows[w] = c.arena[w*n : (w+1)*n : (w+1)*n]
@@ -140,7 +170,7 @@ func (s *Session) RowCache() *RowCache {
 
 // Recomputed returns the number of BFS row rebuilds the cache has paid
 // since creation — the denominator of the reuse win.
-func (c *RowCache) Recomputed() uint64 { return c.recomputed }
+func (c *RowCache) Recomputed() uint64 { return c.recomputed + uint64(c.nFilled.Load()) }
 
 // Invalidated returns the number of row invalidations mutations have
 // forced since creation. Together with Recomputed it makes the cache's
@@ -149,12 +179,12 @@ func (c *RowCache) Recomputed() uint64 { return c.recomputed }
 func (c *RowCache) Invalidated() uint64 { return c.invalidated }
 
 // Live returns the number of currently valid rows.
-func (c *RowCache) Live() int { return len(c.liveList) }
+func (c *RowCache) Live() int { return len(c.liveList) + int(c.nFilled.Load()) }
 
 // Valid reports whether row w is currently up to date — kept through every
 // mutation since it was last computed. The invalidation-accounting tests
 // read it to pin the exact test's keep/flag decisions row by row.
-func (c *RowCache) Valid(w int) bool { return c.livePos[w] >= 0 }
+func (c *RowCache) Valid(w int) bool { return c.livePos[w] != -1 }
 
 // release returns the arenas to the size-keyed pool and drops every
 // reference, so a stale read through a leaked view fails fast on the nil
@@ -163,7 +193,34 @@ func (c *RowCache) release() {
 	putRowArenas(c.s.d.N(), &rowArenas{dist: c.arena, tight: c.tArena, idx: c.idx})
 	c.arena, c.tArena, c.idx = nil, nil, nil
 	c.rows, c.tight = nil, nil
-	c.liveList, c.livePos, c.todo = nil, nil, nil
+	c.liveList, c.livePos, c.todo, c.filled = nil, nil, nil, nil
+	c.nFilled.Store(0)
+}
+
+// fill computes row w (currently invalid) on its first read. It writes
+// only row w's own state plus one filled slot claimed by an atomic add,
+// so reads of distinct rows may fill concurrently without a lock.
+func (c *RowCache) fill(w int) {
+	s := c.s.e.getScratch(c.s.d.N())
+	c.s.d.BFSIntoCounts(w, c.rows[w], c.tight[w], s.queue)
+	c.s.e.putScratch(s)
+	c.livePos[w] = filledRow
+	c.filled[c.nFilled.Add(1)-1] = int32(w)
+}
+
+// fold moves the rows filled on read into the live index. Mutations and
+// Syncs call it first, single-threaded, so the invalidation tests see
+// every valid row.
+func (c *RowCache) fold() {
+	k := c.nFilled.Load()
+	if k == 0 {
+		return
+	}
+	for _, w := range c.filled[:k] {
+		c.validate(w)
+	}
+	c.recomputed += uint64(k)
+	c.nFilled.Store(0)
 }
 
 // invalidate flags row w (caller guarantees it is currently valid).
@@ -190,6 +247,7 @@ func (c *RowCache) validate(w int32) {
 // live-row index backwards so the swap-remove in invalidate never skips
 // an unvisited entry.
 func (c *RowCache) noteAdd(a, b int) {
+	c.fold()
 	for i := len(c.liveList) - 1; i >= 0; i-- {
 		w := c.liveList[i]
 		row := c.rows[w]
@@ -225,6 +283,7 @@ func (c *RowCache) noteAdd(a, b int) {
 // from w together or not at all) or the deeper endpoint keeps an
 // alternative tight parent, in which case only its count changes.
 func (c *RowCache) noteRemove(a, b int) {
+	c.fold()
 	for i := len(c.liveList) - 1; i >= 0; i-- {
 		w := c.liveList[i]
 		row := c.rows[w]
@@ -253,22 +312,28 @@ func (c *RowCache) noteRemove(a, b int) {
 	}
 }
 
-// RowView is the read handle a Sync returns: rows at one session
-// generation. Like a Scan, a view outlived by a session mutation panics on
-// its next read instead of serving stale rows. It is a value (two words),
-// so handing one out costs no allocation in the dynamics hot loop.
+// RowView is the read handle View and Sync return: rows at one session
+// generation, each computed on its first read if it is not already valid.
+// Like a Scan, a view outlived by a session mutation panics on its next
+// read instead of serving stale rows. It is a value (two words), so
+// handing one out costs no allocation in the dynamics hot loop.
 type RowView struct {
 	c   *RowCache
 	gen uint64
 }
 
+// View returns a read view pinned to the session's current generation
+// without computing anything: each row is brought up to date on its first
+// read. This is how the certification sweeps and scans read the cache.
+func (c *RowCache) View() RowView { return RowView{c: c, gen: c.s.gen} }
+
 // Sync brings every row selected by need (nil selects all) up to date —
 // recomputing only the invalidated ones, sharded across workers — and
 // returns a read view pinned to the session's current generation. Rows not
-// selected are left as they are: a later Sync with a wider need computes
-// them then.
+// selected are left as they are, for a later read or Sync to compute.
 func (c *RowCache) Sync(workers int, need func(w int) bool) RowView {
 	n := c.s.d.N()
+	c.fold()
 	c.todo = c.todo[:0]
 	for w := 0; w < n; w++ {
 		if need != nil && !need(w) {
@@ -303,7 +368,7 @@ func (c *RowCache) Sync(workers int, need func(w int) bool) RowView {
 // do), since unlike a RowView there is no generation stamp to panic on a
 // stale read.
 func (c *RowCache) SyncRow(w int) []int32 {
-	if c.livePos[w] < 0 {
+	if c.livePos[w] == -1 {
 		s := c.s.e.getScratch(c.s.d.N())
 		c.s.d.BFSIntoCounts(w, c.rows[w], c.tight[w], s.queue)
 		c.s.e.putScratch(s)
@@ -313,17 +378,18 @@ func (c *RowCache) SyncRow(w int) []int32 {
 	return c.rows[w]
 }
 
-// Row returns d_G(w,·) as of the view's Sync. The row is owned by the
-// cache; do not modify. It panics when the session has mutated since the
-// Sync (stale rows no longer describe the graph) and when w was outside
-// the Sync's need set (the row was never brought up to date).
+// Row returns d_G(w,·) at the view's generation, computing it first if it
+// is invalid. The row is owned by the cache; do not modify. It panics when
+// the session has mutated since the view was taken (stale rows no longer
+// describe the graph). Concurrent readers must read distinct rows while
+// any of them may still be invalid (see RowCache).
 func (v RowView) Row(w int) []int32 {
 	c := v.c
 	if v.gen != c.s.gen {
 		panic("pricing: RowCache view used after Session mutation; re-Sync")
 	}
-	if c.livePos[w] < 0 {
-		panic("pricing: RowCache row read outside the synced set")
+	if c.livePos[w] == -1 {
+		c.fill(w)
 	}
 	return c.rows[w]
 }
@@ -334,12 +400,6 @@ func (v RowView) Row(w int) []int32 {
 // differential suites cross-check it against fresh parent enumeration;
 // pricing reductions never need it.
 func (v RowView) Tight(w int) []uint8 {
-	c := v.c
-	if v.gen != c.s.gen {
-		panic("pricing: RowCache view used after Session mutation; re-Sync")
-	}
-	if c.livePos[w] < 0 {
-		panic("pricing: RowCache row read outside the synced set")
-	}
-	return c.tight[w]
+	v.Row(w)
+	return v.c.tight[w]
 }

@@ -2,6 +2,7 @@ package pricing_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/constructions"
@@ -28,7 +29,8 @@ func rowCacheGraph(n int, rng *rand.Rand) *graph.Graph {
 }
 
 // driveRowCache applies `steps` random session mutations (swaps, adds,
-// removes, undos) with a Sync-and-verify after each: every cached row —
+// removes, undos) with a verify after each — through a Sync or a lazily
+// filled view, alternately: every cached row —
 // in particular every row the invalidation tests decided to KEEP — must
 // equal a fresh BFS of the current snapshot. A keep decision that was
 // wrong (a stale row surviving a mutation that changed its distances)
@@ -44,7 +46,12 @@ func driveRowCache(t *testing.T, g *graph.Graph, rng *rand.Rand, steps int) {
 	queue := make([]int32, 0, n)
 
 	verify := func(step int) {
-		view := cache.Sync(2, nil)
+		// Odd steps read through a lazy view, so rows are filled on read
+		// and folded into the live index by the next mutation.
+		view := cache.View()
+		if step%2 == 0 {
+			view = cache.Sync(2, nil)
+		}
 		for w := 0; w < n; w++ {
 			row := view.Row(w)
 			s.View().BFSInto(w, fresh, queue)
@@ -169,8 +176,9 @@ func TestRowCacheBatchedMutations(t *testing.T) {
 	}
 }
 
-// TestRowCacheStaleViewPanics pins the two misuse panics: a view read
-// after a session mutation, and a row read outside the synced set.
+// TestRowCacheStaleViewPanics pins the misuse panic — a view read after a
+// session mutation — and that a row outside the synced set is no misuse:
+// the read fills it, and it equals a fresh BFS.
 func TestRowCacheStaleViewPanics(t *testing.T) {
 	g := constructions.Path(8)
 	s := pricing.Shared(1).NewSession(g)
@@ -187,18 +195,113 @@ func TestRowCacheStaleViewPanics(t *testing.T) {
 		view.Row(0)
 	}()
 
-	// Sync restricted to even vertices: reading an odd row must panic even
-	// at the right generation.
+	// Sync restricted to even vertices: reading an odd row at the right
+	// generation computes it on the spot.
 	view = cache.Sync(1, func(w int) bool { return w%2 == 0 })
 	view.Row(2)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Row outside synced set: no panic")
+	if cache.Valid(3) {
+		t.Fatal("row 3 valid before any read")
+	}
+	before := cache.Recomputed()
+	row := view.Row(3)
+	if got := cache.Recomputed() - before; got != 1 {
+		t.Fatalf("reading row 3 recomputed %d rows, want 1", got)
+	}
+	if !cache.Valid(3) {
+		t.Fatal("row 3 not valid after its read")
+	}
+	n := s.N()
+	fresh := make([]int32, n)
+	s.View().BFSInto(3, fresh, make([]int32, 0, n))
+	for x := range fresh {
+		if row[x] != fresh[x] {
+			t.Fatalf("filled row 3 entry %d = %d, want %d", x, row[x], fresh[x])
+		}
+	}
+}
+
+// TestRowCacheLazyFill drives the fill-on-read path the way the sharded
+// scans do: between mutations, workers goroutines read disjoint subsets
+// of the rows through one View, so the rows the last mutation invalidated
+// are filled concurrently without a lock; the next mutation folds them
+// into the live index and tests them like any other row. After every round, every row read
+// through a fresh view must equal a fresh BFS, and the recompute ledger
+// must count each fill once. Run under -race in CI.
+func TestRowCacheLazyFill(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		rng := rand.New(rand.NewSource(int64(workers)))
+		g := rowCacheGraph(40, rng)
+		s := pricing.Shared(workers).NewSession(g)
+		n := s.N()
+		cache := s.RowCache()
+		fresh := make([]int32, n)
+		queue := make([]int32, 0, n)
+		mutate := func() {
+			u, v := rng.Intn(n), rng.Intn(n)
+			switch {
+			case u == v:
+			case s.View().HasEdge(u, v):
+				s.ApplyRemove(u, v)
+			default:
+				s.ApplyAdd(u, v)
 			}
-		}()
-		view.Row(3)
-	}()
+		}
+		for round := 0; round < 30; round++ {
+			mutate()
+			view := cache.View()
+			invalid := 0
+			for w := 0; w < n; w++ {
+				if !cache.Valid(w) {
+					invalid++
+				}
+			}
+			before := cache.Recomputed()
+			// Each goroutine owns the rows ≡ its index (mod workers) and
+			// reads a random half of them.
+			keep := make([]bool, n)
+			for w := range keep {
+				keep[w] = rng.Intn(2) == 0
+			}
+			var wg sync.WaitGroup
+			for k := 0; k < workers; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					for w := k; w < n; w += workers {
+						if keep[w] {
+							view.Row(w)
+						}
+					}
+				}(k)
+			}
+			wg.Wait()
+			filled := cache.Recomputed() - before
+			if filled > uint64(invalid) {
+				t.Fatalf("workers %d round %d: %d rows filled, only %d were invalid", workers, round, filled, invalid)
+			}
+			if cache.Live() > n {
+				t.Fatalf("workers %d round %d: %d live rows of %d", workers, round, cache.Live(), n)
+			}
+			// A second mutation folds the filled rows into the live index
+			// and runs its invalidation tests on them.
+			mutate()
+			view = cache.View()
+			for w := 0; w < n; w++ {
+				s.View().BFSInto(w, fresh, queue)
+				row := view.Row(w)
+				for x := 0; x < n; x++ {
+					if row[x] != fresh[x] {
+						t.Fatalf("workers %d round %d: row %d entry %d = %d, want %d",
+							workers, round, w, x, row[x], fresh[x])
+					}
+				}
+			}
+			if cache.Live() != n {
+				t.Fatalf("workers %d round %d: %d live rows after reading all %d", workers, round, cache.Live(), n)
+			}
+		}
+		s.Close()
+	}
 }
 
 // TestRowCacheRecomputeAccounting pins the reuse ledger: a second Sync at

@@ -184,7 +184,7 @@ func (s *Session) RowCacheStats() (recomputed, invalidated uint64, attached bool
 	if s.rows == nil {
 		return 0, 0, false
 	}
-	return s.rows.recomputed, s.rows.invalidated, true
+	return s.rows.Recomputed(), s.rows.invalidated, true
 }
 
 // NewScan prepares pricing state for deviator v over the live snapshot,
@@ -203,7 +203,7 @@ func (s *Session) NewScan(v int) *Scan {
 // unspecified; the installer must check its own cancellation source after
 // the scan and discard the result on expiry. nil uninstalls. The hook must
 // be cheap and safe for concurrent calls (the serve layer installs an
-// atomic-flag-guarded ctx.Err poll, the pattern batchRows uses).
+// atomic-flag-guarded ctx.Err poll).
 func (s *Session) SetCancel(cancel func() bool) { s.cancel = cancel }
 
 // CancelHook returns the installed cancel hook (nil when none), so

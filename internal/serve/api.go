@@ -39,15 +39,22 @@ type GraphDTO struct {
 	Data string `json:"data"`
 }
 
-// Decode parses the carried graph.
+// Decode parses the carried graph, accepting up to graphio.MaxN vertices.
 func (d GraphDTO) Decode() (*graph.Graph, error) {
+	return d.DecodeMax(graphio.MaxN)
+}
+
+// DecodeMax parses the carried graph, rejecting a size header that
+// declares more than maxN vertices with a *graphio.SizeError before
+// anything is allocated for the graph.
+func (d GraphDTO) DecodeMax(maxN int) (*graph.Graph, error) {
 	switch d.Format {
 	case FormatEdgeList, "":
-		return graphio.ReadEdgeList(strings.NewReader(d.Data))
+		return graphio.ReadEdgeListMax(strings.NewReader(d.Data), maxN)
 	case FormatGraph6:
-		return graphio.FromGraph6(strings.TrimSpace(d.Data))
+		return graphio.FromGraph6Max(d.Data, maxN)
 	case FormatSparse6:
-		return graphio.FromSparse6(strings.TrimSpace(d.Data))
+		return graphio.FromSparse6Max(d.Data, maxN)
 	default:
 		return nil, fmt.Errorf("unknown graph format %q", d.Format)
 	}
@@ -181,8 +188,11 @@ type CheckRequest struct {
 	// StableOnly skips the max version's deletion-criticality side
 	// condition (see core.CheckSpec.StableOnly).
 	StableOnly bool `json:"stable_only,omitempty"`
-	// Batched routes the check through the batched cross-agent sweep
-	// where the model has one (bit-identical verdicts).
+	// Batched is accepted and ignored: the engine picks the execution
+	// path itself, and the verdict reports it.
+	//
+	// Deprecated: it is no longer part of the check's identity either, so
+	// requests with either value share one cache and store entry.
 	Batched bool `json:"batched,omitempty"`
 	// Workers bounds the request's pricing parallelism (0 = server
 	// default, capped by the server's MaxWorkers).
@@ -284,7 +294,10 @@ func (d *ViolationDTO) Violation() *core.Violation {
 type VerdictDTO struct {
 	Stable    bool          `json:"stable"`
 	Violation *ViolationDTO `json:"violation,omitempty"`
-	// Batched reports whether the batched cross-agent pass actually ran.
+	// Batched reports whether a check of this graph takes the shared-row
+	// pass (core.UsesSharedRows) — a function of the model and the
+	// graph's size, reported identically for fresh, cached and stored
+	// verdicts.
 	Batched bool `json:"batched,omitempty"`
 }
 
@@ -347,8 +360,10 @@ type DynamicsRequest struct {
 	// MaxMoves caps applied moves (0 = engine default, capped by the
 	// server's MaxMoves).
 	MaxMoves int `json:"max_moves,omitempty"`
-	// Batched routes certification sweeps through the batched pass where
-	// the model has one; the response reports fallback explicitly.
+	// Batched is accepted and ignored: the run takes the shared-row path
+	// whenever it can, and the response reports which path ran.
+	//
+	// Deprecated: it has no effect.
 	Batched bool `json:"batched,omitempty"`
 	Workers int  `json:"workers,omitempty"`
 	// Trace returns every applied move.
@@ -387,12 +402,13 @@ type DynamicsResponse struct {
 	Converged bool `json:"converged"`
 	Moves     int  `json:"moves"`
 	Sweeps    int  `json:"sweeps"`
-	// Batched is "off", "active", or "fallback" — the explicit report of
-	// how a batched-sweeps request was honored.
+	// Batched is "active" when the run took the shared-row path and
+	// "fallback" when it ran the per-agent scans (2nb, or a graph too
+	// large for the row arenas).
 	Batched string `json:"batched"`
 	// RowsRecomputed / RowsInvalidated are the session row cache's
 	// lifetime counters over the run (0 when the trajectory never
-	// attached a cache): BFS row rebuilds paid at syncs, and rows flagged
+	// attached a cache): BFS rows computed on first read, and rows flagged
 	// by applied moves' invalidation tests. Their ratio to Moves is the
 	// cache-effectiveness signal — near equilibrium both stay O(1) per
 	// applied move.

@@ -7,7 +7,7 @@ import (
 
 // verdictCache is the LRU of certified check verdicts. Keys combine the
 // graph's internal/iso certificate with the full spec fingerprint (model
-// configuration, objective, stable-only bit, batched routing), so repeated
+// configuration, objective, stable-only bit), so repeated
 // checks of the same graph under the same spec are answered without a
 // single BFS. Worker counts are deliberately excluded from the key:
 // verdicts and witnesses are bit-identical for every worker count.

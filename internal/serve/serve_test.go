@@ -160,12 +160,13 @@ func TestTimeoutCancelsMidScan(t *testing.T) {
 	}
 }
 
-// TestTimeoutCancelsMidRowBatch is TestTimeoutCancelsMidScan's batched
-// twin: with Batched set, the check front-loads the n shared full-graph
-// BFS rows, so a 1ms deadline expires while that arena is still being
-// filled. batchRows polls the context once per row (each row is one
-// bounded BFS), so the 504 must come back within one BFS of the deadline
-// — not after the remaining hundreds of rows.
+// TestTimeoutCancelsMidRowBatch is TestTimeoutCancelsMidScan on the
+// shared-row path (the deprecated Batched bit is set and ignored): the
+// first leaf's scan fills most of the n shared full-graph rows, so a 1ms
+// deadline expires while they are still being filled. The scan polls the
+// deadline once per candidate endpoint (each fill is one bounded BFS), so
+// the 504 must come back within one BFS of the deadline — not after the
+// remaining hundreds of rows.
 func TestTimeoutCancelsMidRowBatch(t *testing.T) {
 	_, client := newTestServer(t, Config{MaxN: 1024})
 	req := CheckRequest{
@@ -184,7 +185,7 @@ func TestTimeoutCancelsMidRowBatch(t *testing.T) {
 	if !asAPIError(err, &ae) || ae.Status != http.StatusGatewayTimeout {
 		t.Fatalf("got %v, want 504", err)
 	}
-	// 1024 shared rows ≫ 1ms; the per-row poll must abort construction
+	// 1024 shared rows ≫ 1ms; the per-endpoint poll must abort the fill
 	// within one BFS plus chunk drain.
 	if elapsed > 10*time.Second {
 		t.Errorf("cancellation took %v; deadline is not being polled during row construction", elapsed)

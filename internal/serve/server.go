@@ -174,17 +174,19 @@ func classify(err error) error {
 	return &apiError{Status: http.StatusInternalServerError, Msg: err.Error()}
 }
 
-// decodeGraph decodes and size-checks a request graph.
+// decodeGraph decodes and size-checks a request graph. The size check
+// runs on the format's header, before the graph is allocated.
 func (s *Server) decodeGraph(d GraphDTO) (*graph.Graph, error) {
-	g, err := d.Decode()
-	if err != nil {
-		return nil, errBadRequest("bad graph: %v", err)
-	}
-	if g.N() > s.cfg.MaxN {
+	g, err := d.DecodeMax(s.cfg.MaxN)
+	var se *graphio.SizeError
+	switch {
+	case errors.As(err, &se):
 		return nil, &apiError{
 			Status: http.StatusRequestEntityTooLarge,
-			Msg:    fmt.Sprintf("graph has n=%d, server accepts at most %d", g.N(), s.cfg.MaxN),
+			Msg:    fmt.Sprintf("graph has n=%d, server accepts at most %d", se.N, s.cfg.MaxN),
 		}
+	case err != nil:
+		return nil, errBadRequest("bad graph: %v", err)
 	}
 	return g, nil
 }
@@ -222,12 +224,12 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 
 // checkCacheKey fingerprints a check request for the verdict LRU: the
 // graph's isomorphism certificate plus everything of the spec that can
-// change the verdict bits. Workers are excluded (verdicts are identical
-// for every worker count); Batched is included because Verdict.Batched
-// reports the executed path and must round-trip identically.
+// change the verdict bits. Workers and the ignored Batched bit are
+// excluded: verdicts are identical for every worker count, and the
+// executed path is a function of the model and the graph's size.
 func checkCacheKey(cert string, req CheckRequest) string {
-	return fmt.Sprintf("%s|%s|%s|so=%t|b=%t",
-		cert, req.Model.cacheKey(), objectiveName(req.Objective), req.StableOnly, req.Batched)
+	return fmt.Sprintf("%s|%s|%s|so=%t",
+		cert, req.Model.cacheKey(), objectiveName(req.Objective), req.StableOnly)
 }
 
 // Check answers a CheckRequest: decode, consult the verdict LRU and the
@@ -266,7 +268,7 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 		return nil, label, errBadRequest("bad graph: %v", err)
 	}
 	key := checkCacheKey(iso.Certificate(g), req)
-	if resp, hit, ok := s.lookup(g, key, exact); ok {
+	if resp, hit, ok := s.lookup(g, model, key, exact); ok {
 		return resp, hit, nil
 	}
 
@@ -282,7 +284,7 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 	// flight has closed, so the leader looks the verdict up once more.
 	var hit string
 	resp, led, err := s.coal.do(ctx, key+"\x00"+exact, func() (*CheckResponse, error) {
-		if resp, label, ok := s.lookup(g, key, exact); ok {
+		if resp, label, ok := s.lookup(g, model, key, exact); ok {
 			hit = label
 			return resp, nil
 		}
@@ -299,7 +301,6 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 			Model:      model,
 			Objective:  obj,
 			StableOnly: req.StableOnly,
-			Batched:    req.Batched,
 			Workers:    s.clampWorkers(req.Workers),
 		})
 		if err != nil {
@@ -332,13 +333,17 @@ func (s *Server) check(ctx context.Context, req CheckRequest) (*CheckResponse, s
 
 // lookup answers a check from the verdict LRU, then from the persistent
 // store, returning the response and its latency label.
-func (s *Server) lookup(g *graph.Graph, key, exact string) (*CheckResponse, string, bool) {
+func (s *Server) lookup(g *graph.Graph, model game.Model, key, exact string) (*CheckResponse, string, bool) {
 	if v, ok := s.cache.get(key, exact); ok {
 		s.stats.cacheHit()
 		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true}, "check.hit", true
 	}
 	if v, ok := s.store.get(key, exact); ok {
 		s.stats.storeHit()
+		// The journal may hold a verdict certified on the other path (an
+		// atlas seed, an older server); report the path a check of this
+		// graph takes, so stored and fresh answers are bit-identical.
+		v.Batched = core.UsesSharedRows(model, g)
 		s.cache.put(key, exact, v)
 		return &CheckResponse{N: g.N(), M: g.M(), VerdictDTO: v, Cached: true, Stored: true}, "check.store", true
 	}
@@ -387,9 +392,9 @@ func (s *Server) bestResponse(ctx context.Context, req BestResponseRequest) (*Be
 
 	inst := model.New(g, s.clampWorkers(req.Workers))
 	defer game.CloseInstance(inst)
-	// Cooperative mid-scan cancellation, the same shape batchRows uses: a
-	// ctx.Err() poll latched through an atomic flag so every scan chunk
-	// observes the first expiry without re-querying the context.
+	// Cooperative mid-scan cancellation: a ctx.Err() poll latched through
+	// an atomic flag so every scan chunk observes the first expiry without
+	// re-querying the context.
 	var stop atomic.Bool
 	game.SetScanCancel(inst, func() bool {
 		if stop.Load() {
@@ -490,7 +495,6 @@ func (s *Server) execDynamics(ctx context.Context, req DynamicsRequest, run *dyn
 		CheckSpec: core.CheckSpec{
 			Model:     run.model,
 			Objective: run.obj,
-			Batched:   req.Batched,
 			Workers:   run.workers,
 		},
 		Policy:   run.policy,
@@ -526,7 +530,6 @@ func (s *Server) execDynamics(ctx context.Context, req DynamicsRequest, run *dyn
 			Model:      run.model,
 			Objective:  run.obj,
 			StableOnly: true, // dynamics certify exactly the no-improving-move condition
-			Batched:    req.Batched,
 			Workers:    run.workers,
 		})
 		if err != nil {
@@ -555,9 +558,22 @@ func (s *Server) Stats() StatsSnapshot {
 	return s.stats.snapshot(s.cache.len(), s.store != nil, s.store.len())
 }
 
+// maxBodyBytes bounds a request body for a server accepting graphs of up
+// to maxN vertices: twice the largest valid edge-list graph (the complete
+// graph, each line JSON-escaped) — the interests model's sets, at most n²
+// vertex ids, fit in the second half — plus 64 KiB for the other fields.
+func maxBodyBytes(maxN int) int64 {
+	n := int64(maxN)
+	digits := int64(len(fmt.Sprint(maxN)))
+	line := 2*digits + 3 // "u v" plus the escaped newline
+	return 2*(2*digits+4+n*(n-1)/2*line) + 64<<10
+}
+
 // Handler returns the HTTP surface: POST /v1/check, /v1/bestresponse,
-// /v1/dynamics (JSON DTOs of api.go), GET /healthz and /stats.
+// /v1/dynamics (JSON DTOs of api.go), GET /healthz and /stats. Request
+// bodies are capped at maxBodyBytes(MaxN); a larger body is answered 413.
 func (s *Server) Handler() http.Handler {
+	limit := maxBodyBytes(s.cfg.MaxN)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/check", func(w http.ResponseWriter, r *http.Request) {
 		var req CheckRequest
@@ -594,7 +610,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // ListenAndServe serves the handler on the configured address until the
@@ -608,12 +627,18 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// decodeBody parses a JSON request body, answering 400 on malformed input.
+// decodeBody parses a JSON request body, answering 400 on malformed input
+// and 413 on a body over the Handler's cap.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: fmt.Sprintf("bad request body: %v", err)})
 		return false
 	}
 	return true

@@ -40,11 +40,13 @@ type StoreEntry struct {
 	Objective string `json:"objective"`
 	// StableOnly mirrors CheckRequest.StableOnly.
 	StableOnly bool `json:"stable_only,omitempty"`
-	// Batched mirrors CheckRequest.Batched — part of the check's identity
-	// (the verdict reports the executed path). Atlas corpora never set it:
-	// they pin the per-agent path.
+	// Batched is the request bit older journals recorded as part of the
+	// check's identity. Replay ignores it, so lines written with either
+	// value index under the one flag-free key; new lines never set it, and
+	// atlas corpora never did.
 	Batched bool `json:"batched,omitempty"`
 	// BatchedRan mirrors VerdictDTO.Batched, the executed-path report.
+	// Atlas corpora never set it: they pin the per-agent path.
 	BatchedRan bool `json:"batched_ran,omitempty"`
 	// Stable is the certified verdict.
 	Stable bool `json:"stable"`
@@ -65,7 +67,7 @@ func (e *StoreEntry) replayKey() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	req := CheckRequest{Model: e.Model, Objective: e.Objective, StableOnly: e.StableOnly, Batched: e.Batched}
+	req := CheckRequest{Model: e.Model, Objective: e.Objective, StableOnly: e.StableOnly}
 	return checkCacheKey(iso.Certificate(g), req), nil
 }
 
@@ -222,7 +224,6 @@ func (s *verdictStore) append(key, exact string, req CheckRequest, v VerdictDTO)
 		Model:      req.Model,
 		Objective:  objectiveName(req.Objective),
 		StableOnly: req.StableOnly,
-		Batched:    req.Batched,
 		BatchedRan: v.Batched,
 		Stable:     v.Stable,
 		Witness:    v.Violation,
